@@ -3,7 +3,9 @@
 Solves constant-coefficient third- and fifth-order boundary value problems
 on (-1, 1) with generalized Jacobi trial/test bases built to satisfy the
 boundary conditions and their duals.  The discrete systems are four- and
-six-band matrices solved by LU without pivoting in O(N) operations.
+six-band matrices solved by LU without pivoting in O(N) operations.  Both
+orders run through one route, `solve(problem, N)`, parametrized by the
+order's `OrderSpec`.
 """
 from .analysis import (
     ConditionReport,
@@ -12,7 +14,9 @@ from .analysis import (
     condition_full,
     evaluate_solution,
     max_pointwise_error,
+    solve,
     solve_fifth,
+    solve_system,
     solve_third,
 )
 from .assembly import (
@@ -22,12 +26,15 @@ from .assembly import (
     LiftPolynomial,
     ThirdOrderBC,
     ThirdOrderProblem,
+    assemble,
     assemble_fifth,
     assemble_third,
+    boundary_lift,
     lift_fifth,
     lift_third,
     modified_rhs,
     operator_entry_oracle,
+    rhs_projection,
     rhs_projection_fifth,
     rhs_projection_third,
 )
@@ -36,7 +43,7 @@ from .banded import (
     OpCount,
     SingularMatrixError,
     lu_factor_banded,
-    solve_banded,
+    solve_diagonal,
     solve_diagonal_fifth,
     solve_diagonal_third,
 )
@@ -52,5 +59,6 @@ from .jacobi import (
     norm_h,
     pochhammer,
 )
+from .orders import OrderSpec, order_spec
 
 __version__ = "0.1.0"

@@ -1,5 +1,9 @@
 """Condition numbers, solve drivers, solution evaluation, error measurement.
 
+One route serves both orders: `solve(problem, N)` assembles and solves the
+problem's system, with every order-dependent quantity taken from its
+`OrderSpec`; `solve_third` and `solve_fifth` are aliases of it.
+
 Conditioning of the diagonal blocks B1/B2 follows directly from their
 entries.  For the full matrices D1/D2 the tabulated reference values are
 2-norm condition numbers, so cond is the singular-value ratio, computed by
@@ -17,28 +21,20 @@ import numpy as np
 
 from .assembly import (
     BandSystem,
-    FifthOrderProblem,
     LiftPolynomial,
-    ThirdOrderProblem,
-    assemble_fifth,
-    assemble_third,
-    lift_fifth,
-    lift_third,
+    assemble,
+    boundary_lift,
     operator_matrix,
 )
-from .banded import (
-    BandedLU,
-    BandedMatrix,
-    lu_factor_banded,
-    solve_diagonal_fifth,
-    solve_diagonal_third,
-)
-from .gjp import trial_params
+from .banded import BandedLU, BandedMatrix, lu_factor_banded, solve_diagonal
 from .jacobi import ConvergenceError, eval_R_table
+from .orders import order_spec
 
 __all__ = [
     "SpectralSolution",
     "ConditionReport",
+    "solve",
+    "solve_system",
     "solve_third",
     "solve_fifth",
     "evaluate_solution",
@@ -55,12 +51,6 @@ ERROR_GRID_POINTS = 1001
 ITERATION_TOL = 1e-12
 ITERATION_MAX = 10_000
 
-_TRIAL_WEIGHT_POLY = {
-    3: np.array([1.0, -1.0, -1.0, 1.0]),
-    5: np.array([1.0, -1.0, -2.0, 2.0, 1.0, -1.0]),
-}
-
-
 @dataclass(frozen=True)
 class SpectralSolution:
     """Coefficients a_k of u_N = sum a_k phi_k - lift, tagged with order and N."""
@@ -71,7 +61,7 @@ class SpectralSolution:
     lift: LiftPolynomial
 
     def __post_init__(self) -> None:
-        expect = self.N - 2 if self.order == 3 else self.N - 4
+        expect = order_spec(self.order).dimension(self.N)
         if len(self.coefficients) != expect:
             raise ValueError(
                 f"order {self.order}, N = {self.N} needs {expect} coefficients, "
@@ -86,10 +76,9 @@ def evaluate_solution(solution: SpectralSolution, x):
     """u_N(x) = sum_k a_k phi_k(x) minus the boundary lift."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     a = np.asarray(solution.coefficients)
-    table = eval_R_table(trial_params(solution.order), max(len(a) - 1, 0), arr)
-    weight = np.polynomial.polynomial.polyval(
-        arr, _TRIAL_WEIGHT_POLY[solution.order]
-    )
+    spec = order_spec(solution.order)
+    table = eval_R_table(spec.trial_params, max(len(a) - 1, 0), arr)
+    weight = np.polynomial.polynomial.polyval(arr, spec.trial_weight)
     vals = weight * (a @ table) - solution.lift(arr)
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
@@ -100,30 +89,27 @@ def max_pointwise_error(solution: SpectralSolution, exact) -> float:
     return float(np.max(np.abs(evaluate_solution(solution, grid) - exact(grid))))
 
 
-def _solve_system(system: BandSystem, diagonal: bool) -> np.ndarray:
-    if diagonal:
-        if system.order == 3:
-            return solve_diagonal_third(system.rhs)
-        return solve_diagonal_fifth(system.rhs)
-    factored = lu_factor_banded(system.matrix)
-    solution, _ = factored.solve(system.rhs)
-    return solution
+def solve_system(problem, N: int, system: BandSystem) -> SpectralSolution:
+    """Solve the assembled system of `problem` at truncation N.
+
+    All operator coefficients zero leaves the diagonal B1 or B2
+    (L = D^3 or -D^5), which is solved directly instead of by band LU.
+    """
+    if all(c == 0.0 for c in problem.coefficients):
+        a = solve_diagonal(system.order, system.rhs)
+    else:
+        a, _ = lu_factor_banded(system.matrix).solve(system.rhs)
+    return SpectralSolution(
+        order=system.order, N=N, coefficients=a, lift=boundary_lift(problem.bc)
+    )
 
 
-def solve_third(problem: ThirdOrderProblem, N: int) -> SpectralSolution:
-    """Solve a third-order problem; diagonal fast path when L = D^3."""
-    system = assemble_third(problem, N)
-    diagonal = problem.coefficients == (0.0, 0.0, 0.0)
-    a = _solve_system(system, diagonal)
-    return SpectralSolution(order=3, N=N, coefficients=a, lift=lift_third(problem.bc))
+def solve(problem, N: int) -> SpectralSolution:
+    """Solve a third- or fifth-order problem at truncation N."""
+    return solve_system(problem, N, assemble(problem, N))
 
 
-def solve_fifth(problem: FifthOrderProblem, N: int) -> SpectralSolution:
-    """Solve a fifth-order problem; diagonal fast path when L = -D^5."""
-    system = assemble_fifth(problem, N)
-    diagonal = problem.coefficients == (0.0, 0.0, 0.0, 0.0, 0.0)
-    a = _solve_system(system, diagonal)
-    return SpectralSolution(order=5, N=N, coefficients=a, lift=lift_fifth(problem.bc))
+solve_third = solve_fifth = solve
 
 
 @dataclass(frozen=True)
@@ -146,15 +132,21 @@ class ConditionReport:
     sigma_max: float | None = None
 
 
+def _report(
+    order: int, N: int, eig_min, eig_max, sigma_min, sigma_max, cond
+) -> ConditionReport:
+    """ConditionReport labelled n = m and scaled by N^(2m) for the order."""
+    m = order_spec(order).m
+    return ConditionReport(
+        n_label=m, N=N, eig_min=eig_min, eig_max=eig_max, cond=cond,
+        cond_over_power=cond / N ** (2 * m), sigma_min=sigma_min, sigma_max=sigma_max,
+    )
+
+
 def diagonal_entries(order: int, N: int) -> np.ndarray:
-    """Diagonal of B1 (2(k+1)(k+3)) or B2 (3(k+1)(k+2)(k+4)(k+5))."""
-    if order == 3:
-        k = np.arange(N - 2)
-        return 2.0 * (k + 1) * (k + 3)
-    if order == 5:
-        k = np.arange(N - 4)
-        return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
-    raise ValueError(f"order must be 3 or 5, got {order}")
+    """Diagonal of B1 (order 3) or B2 (order 5) at truncation N."""
+    spec = order_spec(order)
+    return spec.diagonal(np.arange(spec.dimension(N)))
 
 
 def condition_diagonal(order: int, N: int) -> ConditionReport:
@@ -162,19 +154,8 @@ def condition_diagonal(order: int, N: int) -> ConditionReport:
     diag = diagonal_entries(order, N)
     if diag.size == 0:
         raise ValueError(f"N = {N} gives an empty system for order {order}")
-    n_label = 1 if order == 3 else 2
     eig_min, eig_max = float(diag[0]), float(diag[-1])
-    cond = eig_max / eig_min
-    return ConditionReport(
-        n_label=n_label,
-        N=N,
-        eig_min=eig_min,
-        eig_max=eig_max,
-        cond=cond,
-        cond_over_power=cond / N ** (2 * n_label),
-        sigma_min=eig_min,
-        sigma_max=eig_max,
-    )
+    return _report(order, N, eig_min, eig_max, eig_min, eig_max, eig_max / eig_min)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -223,32 +204,19 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     iteration, both to 1e-10 relative.
     """
     if coefficients is None:
-        coefficients = (1.0, 1.0, 1.0) if order == 3 else (1.0,) * 5
+        coefficients = (1.0,) * order_spec(order).n_coefficients
     matrix = operator_matrix(order, coefficients, N)
     n = matrix.n
-    n_label = 1 if order == 3 else 2
     if n == 1:
         only = matrix.get(0, 0)
-        return ConditionReport(
-            n_label=n_label, N=N, eig_min=only, eig_max=only, cond=1.0,
-            cond_over_power=1.0 / N ** (2 * n_label), sigma_min=abs(only),
-            sigma_max=abs(only),
-        )
+        return _report(order, N, only, only, abs(only), abs(only), 1.0)
     factored = lu_factor_banded(matrix)
     sigma_max = math.sqrt(_power_largest(_gram_apply(matrix), n, "sigma_max"))
     sigma_min = 1.0 / math.sqrt(_power_largest(_gram_solve(factored), n, "sigma_min"))
     eig_max = _power_largest(matrix.matvec, n, "eig_max")
     eig_min = 1.0 / _power_largest(lambda v: factored.solve(v)[0], n, "eig_min")
-    cond = sigma_max / sigma_min
-    return ConditionReport(
-        n_label=n_label,
-        N=N,
-        eig_min=eig_min,
-        eig_max=eig_max,
-        cond=cond,
-        cond_over_power=cond / N ** (2 * n_label),
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
+    return _report(
+        order, N, eig_min, eig_max, sigma_min, sigma_max, sigma_max / sigma_min
     )
 
 

@@ -1,41 +1,53 @@
 """Assembly of the dual Petrov-Galerkin band systems.
 
-The third-order operator u''' - a1 u'' - b1 u' + g1 u tested against
-psi_k = (1-x^2)(1+x) R_k^{(1,2)} reduces, after dividing row k by the norm
-h_k^{(1,2)}, to the (N-2) x (N-2) system
+A problem of order 2m + 1 (m = 1: third order, m = 2: fifth order) tested
+against psi_k = (1-x^2)^m (1+x) R_k^{(m,m+1)} reduces, after dividing row
+k by the norm h_k^{(m,m+1)}, to the (N-2m) x (N-2m) band system
 
-    (B1 + a1 E2 + b1 E1 + g1 E0) a = f*,
+    (B + sum_{q <= 2m} w_q E_q) a = f*,
 
-where column j of each E matrix holds the R^{(1,2)}-expansion coefficients
-of the corresponding derivative of phi_j (negated for the E2/E1 blocks so
-the operator signs come out right).  The fifth-order system
-(B2 + a2 G4 + b2 G3 + g2 G2 + d2 G1 + m2 G0) a = f* is built the same way
-from the R^{(2,3)} expansions.  The expansion tables below were confirmed
-entrywise against the quadrature oracle; where the alternative tabulated
-entry formulas disagree with the oracle the verification report
+where column j of E_q holds the R^{(m,m+1)}-expansion coefficients of
+D^q phi_j, w_q is the signed operator coefficient of D^q, and B is the
+diagonal block of the leading derivative: B1 + a1 E2 + b1 E1 + g1 E0 for
+order 3 and B2 + a2 G4 + b2 G3 + g2 G2 + d2 G1 + m2 G0 for order 5 in the
+paper's notation.  One route, `assemble(problem, N)`, builds either from
+the problem's `OrderSpec`; the expansion tables it reads were confirmed
+entrywise against the quadrature oracle, and where the alternative
+tabulated entry formulas disagree with the oracle the verification report
 enumerates both values.
 
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
 the test expansion through hand-derived monomial tables (no quadrature).
+The `_third`/`_fifth` names are aliases of the general route.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .banded import BandedMatrix
-from .gjp import dual_params, eval_phi, eval_psi
+from .gjp import eval_phi, eval_psi
 from .jacobi import (
     ConvergenceError,
     JacobiParams,
     eval_R_table,
     gauss_jacobi_rule,
     norm_h,
-    pochhammer,
+)
+from .orders import (
+    FifthOrderBC,
+    FifthOrderProblem,
+    ThirdOrderBC,
+    ThirdOrderProblem,
+    fifth_expansion,
+    order_spec,
+    third_expansion,
 )
 
 __all__ = [
@@ -48,12 +60,16 @@ __all__ = [
     "third_expansion",
     "fifth_expansion",
     "operator_matrix",
+    "assemble",
     "assemble_third",
     "assemble_fifth",
+    "rhs_projection",
     "rhs_projection_third",
     "rhs_projection_fifth",
+    "boundary_lift",
     "lift_third",
     "lift_fifth",
+    "lift_correction_polynomial",
     "modified_rhs",
     "operator_entry_oracle",
     "operator_oracle_matrix",
@@ -61,69 +77,6 @@ __all__ = [
 
 PROJECTION_TOL = 1e-14
 PROJECTION_MAX_DOUBLINGS = 6
-
-
-@dataclass(frozen=True)
-class ThirdOrderBC:
-    """Boundary data u(-1) = a_minus, u(1) = a_plus, u'(1) = a1_plus."""
-
-    a_minus: float = 0.0
-    a_plus: float = 0.0
-    a1_plus: float = 0.0
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.a_minus == self.a_plus == self.a1_plus == 0.0
-
-
-@dataclass(frozen=True)
-class FifthOrderBC:
-    """Boundary data u(+-1), u'(+-1), u''(1)."""
-
-    a_minus: float = 0.0
-    a_plus: float = 0.0
-    a1_minus: float = 0.0
-    a1_plus: float = 0.0
-    a2_plus: float = 0.0
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return (
-            self.a_minus == self.a_plus == self.a1_minus
-            == self.a1_plus == self.a2_plus == 0.0
-        )
-
-
-@dataclass(frozen=True)
-class ThirdOrderProblem:
-    """u''' - alpha1 u'' - beta1 u' + gamma1 u = rhs on (-1, 1)."""
-
-    alpha1: float
-    beta1: float
-    gamma1: float
-    rhs: Callable[[np.ndarray], np.ndarray]
-    bc: ThirdOrderBC = field(default_factory=ThirdOrderBC)
-
-    @property
-    def coefficients(self) -> tuple[float, float, float]:
-        return (self.alpha1, self.beta1, self.gamma1)
-
-
-@dataclass(frozen=True)
-class FifthOrderProblem:
-    """-u''''' + alpha2 u'''' + beta2 u''' - gamma2 u'' - delta2 u' + mu2 u = rhs."""
-
-    alpha2: float
-    beta2: float
-    gamma2: float
-    delta2: float
-    mu2: float
-    rhs: Callable[[np.ndarray], np.ndarray]
-    bc: FifthOrderBC = field(default_factory=FifthOrderBC)
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.alpha2, self.beta2, self.gamma2, self.delta2, self.mu2)
 
 
 @dataclass(frozen=True)
@@ -138,7 +91,7 @@ class LiftPolynomial:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        expect = 3 if self.order == 3 else 5
+        expect = order_spec(self.order).n_coefficients
         if len(self.coefficients) != expect:
             raise ValueError(f"order {self.order} lift needs {expect} coefficients")
 
@@ -166,140 +119,16 @@ class BandSystem:
             raise ValueError("system dimension mismatch")
 
 
-# --- expansion coefficient tables -----------------------------------------
-#
-# third_expansion(q, j)[i] = coefficient of R_i^{(1,2)} in D^q phi_j, and
-# fifth_expansion(q, j)[i] = coefficient of R_i^{(2,3)} in D^q phi_j.
-# Pochhammer factors with nonpositive bases truncate the out-of-range terms.
-
-def third_expansion(q: int, j: int) -> dict[int, float]:
-    """R^{(1,2)}-expansion coefficients of D^q phi_j for the order-3 basis."""
-    k = j
-    if q == 3:
-        terms = {k: 2.0 * (k + 1) * (k + 3)}
-    elif q == 2:
-        terms = {
-            k + 1: 2.0 * pochhammer(k + 3, 2) / (2 * k + 5),
-            k: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            k - 1: -2.0 * pochhammer(k, 2) / (2 * k + 3),
-        }
-    elif q == 1:
-        terms = {
-            k + 2: pochhammer(k + 3, 3) / (2.0 * (k + 2) * pochhammer(k + 2.5, 2)),
-            k + 1: -pochhammer(k + 3, 2) / pochhammer(k + 1.5, 3),
-            k: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            k - 1: pochhammer(k, 2) / pochhammer(k + 0.5, 3),
-            k - 2: pochhammer(k - 1, 3) / (2.0 * (k + 2) * pochhammer(k + 0.5, 2)),
-        }
-    elif q == 0:
-        terms = {
-            k + 3: pochhammer(k + 4, 3) / (4.0 * (k + 2) * pochhammer(k + 2.5, 3)),
-            k + 2: -3.0 * pochhammer(k + 3, 3) / (4.0 * (k + 2) * pochhammer(k + 1.5, 4)),
-            k + 1: -3.0 * pochhammer(k + 3, 2) / (4.0 * pochhammer(k + 1.5, 3)),
-            k: 3.0 * (k + 1) * (k + 3) / (2.0 * pochhammer(k + 0.5, 4)),
-            k - 1: 3.0 * pochhammer(k, 2) / (4.0 * pochhammer(k + 0.5, 3)),
-            k - 2: -3.0 * pochhammer(k - 1, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 4)),
-            k - 3: -pochhammer(k - 2, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 3)),
-        }
-    else:
-        raise ValueError(f"third-order expansion defined for q in 0..3, got {q}")
-    return {i: c for i, c in terms.items() if i >= 0 and c != 0.0}
-
-
-def fifth_expansion(q: int, j: int) -> dict[int, float]:
-    """R^{(2,3)}-expansion coefficients of D^q phi_j for the order-5 basis."""
-    k = j
-    if q == 5:
-        terms = {k: -3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)}
-    elif q == 4:
-        terms = {
-            k + 1: -3.0 * (k + 2) * pochhammer(k + 4, 3) / (2 * k + 7),
-            k: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            k - 1: 3.0 * pochhammer(k, 3) * (k + 4) / (2 * k + 5),
-        }
-    elif q == 3:
-        terms = {
-            k + 2: -3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 3.5, 2)),
-            k + 1: 3.0 * (k + 2) * pochhammer(k + 4, 3) / (2.0 * pochhammer(k + 2.5, 3)),
-            k: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            k - 1: -3.0 * pochhammer(k, 3) * (k + 4) / (2.0 * pochhammer(k + 1.5, 3)),
-            k - 2: -3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 1.5, 2)),
-        }
-    elif q == 2:
-        terms = {
-            k + 3: -3.0 * pochhammer(k + 4, 5) / (8.0 * (k + 3) * pochhammer(k + 3.5, 3)),
-            k + 2: 9.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 2.5, 4)),
-            k + 1: 9.0 * (k + 2) * pochhammer(k + 4, 3) / (8.0 * pochhammer(k + 2.5, 3)),
-            k: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (4.0 * pochhammer(k + 1.5, 4)),
-            k - 1: -9.0 * pochhammer(k, 3) * (k + 4) / (8.0 * pochhammer(k + 1.5, 3)),
-            k - 2: 9.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k + 0.5, 4)),
-            k - 3: 3.0 * pochhammer(k - 2, 5) / (8.0 * (k + 3) * pochhammer(k + 0.5, 3)),
-        }
-    elif q == 1:
-        terms = {
-            k + 4: -3.0 * pochhammer(k + 5, 5) / (16.0 * (k + 3) * pochhammer(k + 3.5, 4)),
-            k + 3: 3.0 * pochhammer(k + 4, 5) / (4.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            k + 2: 3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 2.5, 4)),
-            k + 1: -9.0 * (k + 2) * pochhammer(k + 4, 3) / (4.0 * pochhammer(k + 1.5, 5)),
-            k: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (8.0 * pochhammer(k + 1.5, 4)),
-            k - 1: 9.0 * pochhammer(k, 3) * (k + 4) / (4.0 * pochhammer(k + 0.5, 5)),
-            k - 2: 3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 0.5, 4)),
-            k - 3: -3.0 * pochhammer(k - 2, 5) / (4.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            k - 4: -3.0 * pochhammer(k - 3, 5) / (16.0 * (k + 3) * pochhammer(k - 0.5, 4)),
-        }
-    elif q == 0:
-        terms = {
-            k + 5: -3.0 * pochhammer(k + 6, 5) / (32.0 * (k + 3) * pochhammer(k + 3.5, 5)),
-            k + 4: 15.0 * pochhammer(k + 5, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 6)),
-            k + 3: 15.0 * pochhammer(k + 4, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            k + 2: -15.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 1.5, 6)),
-            k + 1: -15.0 * (k + 2) * pochhammer(k + 4, 3) / (16.0 * pochhammer(k + 1.5, 5)),
-            k: 45.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (16.0 * pochhammer(k + 0.5, 6)),
-            k - 1: 15.0 * pochhammer(k, 3) * (k + 4) / (16.0 * pochhammer(k + 0.5, 5)),
-            k - 2: -15.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k - 0.5, 6)),
-            k - 3: -15.0 * pochhammer(k - 2, 5) / (32.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            k - 4: 15.0 * pochhammer(k - 3, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 6)),
-            k - 5: 3.0 * pochhammer(k - 4, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 5)),
-        }
-    else:
-        raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
-    return {i: c for i, c in terms.items() if i >= 0 and c != 0.0}
-
-
-# operator sign in front of each derivative order, third: Eq. L3, fifth: L5
-_SIGNS_THIRD = {3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0}
-_SIGNS_FIFTH = {5: -1.0, 4: 1.0, 3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0}
-
-
-def _operator_weights(order: int, coefficients) -> dict[int, float]:
-    if order == 3:
-        a1, b1, g1 = coefficients
-        per_q = {3: 1.0, 2: a1, 1: b1, 0: g1}
-        return {q: _SIGNS_THIRD[q] * per_q[q] for q in per_q}
-    a2, b2, g2, d2, m2 = coefficients
-    per_q = {5: 1.0, 4: a2, 3: b2, 2: g2, 1: d2, 0: m2}
-    return {q: _SIGNS_FIFTH[q] * per_q[q] for q in per_q}
-
-
 def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     """Assemble D1 (order 3) or D2 (order 5) directly into band storage."""
-    if order == 3:
-        if N < 3:
-            raise ValueError(f"third-order assembly needs N >= 3, got {N}")
-        dim, band, expansion = N - 2, 3, third_expansion
-    elif order == 5:
-        if N < 5:
-            raise ValueError(f"fifth-order assembly needs N >= 5, got {N}")
-        dim, band, expansion = N - 4, 5, fifth_expansion
-    else:
-        raise ValueError(f"order must be 3 or 5, got {order}")
-    weights = _operator_weights(order, coefficients)
-    matrix = BandedMatrix(dim, min(band, dim - 1), min(band, dim - 1))
+    spec = order_spec(order)
+    if N < order:
+        raise ValueError(f"order-{order} assembly needs N >= {order}, got {N}")
+    dim = spec.dimension(N)
+    weights = spec.weights(coefficients)
+    band = min(spec.bandwidth, dim - 1)
+    matrix = BandedMatrix(dim, band, band)
+    expansion = spec.expansion
     for j in range(dim):
         for q, w in weights.items():
             if w == 0.0:
@@ -363,70 +192,35 @@ def _projection(
     )
 
 
-def rhs_projection_third(rhs: Callable, N: int) -> np.ndarray:
-    """f*_k = (rhs, R_k^{(1,2)})_w / h_k^{(1,2)}, w = (1-x^2)(1+x), k < N-2."""
-    return _projection(rhs, N, JacobiParams(1.0, 2.0), N - 2)
+def rhs_projection(order: int, rhs: Callable, N: int) -> np.ndarray:
+    """f*_k = (rhs, R_k^{(m,m+1)})_w / h_k^{(m,m+1)}, w = (1-x^2)^m (1+x), k < N-2m."""
+    spec = order_spec(order)
+    return _projection(rhs, N, spec.test_params, spec.dimension(N))
 
 
-def rhs_projection_fifth(rhs: Callable, N: int) -> np.ndarray:
-    """f*_k = (rhs, R_k^{(2,3)})_w / h_k^{(2,3)}, w = (1-x^2)^2 (1+x), k < N-4."""
-    return _projection(rhs, N, JacobiParams(2.0, 3.0), N - 4)
+rhs_projection_third = partial(rhs_projection, 3)
+rhs_projection_fifth = partial(rhs_projection, 5)
 
 
-def lift_third(bc: ThirdOrderBC) -> LiftPolynomial:
-    """Quadratic lift turning the order-3 boundary data homogeneous."""
-    am, ap, a1p = bc.a_minus, bc.a_plus, bc.a1_plus
-    a0 = (-am - 3.0 * ap + 2.0 * a1p) / 4.0
-    a1 = (am - ap) / 2.0
-    a2 = (-am + ap - 2.0 * a1p) / 4.0
-    return LiftPolynomial(order=3, coefficients=(a0, a1, a2))
+def boundary_lift(bc) -> LiftPolynomial:
+    """Lift of degree 2m turning the boundary data `bc` homogeneous."""
+    return LiftPolynomial(order=bc.order, coefficients=order_spec(bc.order).lift(bc))
 
 
-def lift_fifth(bc: FifthOrderBC) -> LiftPolynomial:
-    """Quartic lift for the order-5 boundary data (interpolates all five)."""
-    am, ap = bc.a_minus, bc.a_plus
-    a1m, a1p, a2p = bc.a1_minus, bc.a1_plus, bc.a2_plus
-    a0 = (-2.0 * a1m + 8.0 * a1p - 2.0 * a2p - 5.0 * am - 11.0 * ap) / 16.0
-    a1 = (a1m + a1p + 3.0 * am - 3.0 * ap) / 4.0
-    a2 = (-6.0 * a1p + 2.0 * a2p - 3.0 * am + 3.0 * ap) / 8.0
-    a3 = (-a1m - a1p - am + ap) / 4.0
-    a4 = (-2.0 * a2p + 4.0 * a1p + 2.0 * a1m + 3.0 * am - 3.0 * ap) / 16.0
-    return LiftPolynomial(order=5, coefficients=(a0, a1, a2, a3, a4))
-
-
-# exact expansions of the monomials x^d in the test families:
-# x^d = sum_i _MONO_TO_R12[d][i] R_i^{(1,2)} and likewise for R^{(2,3)}
-_MONO_TO_R12 = (
-    (1.0,),
-    (1.0 / 5.0, 4.0 / 5.0),
-    (1.0 / 5.0, 8.0 / 35.0, 4.0 / 7.0),
-)
-_MONO_TO_R23 = (
-    (1.0,),
-    (1.0 / 7.0, 6.0 / 7.0),
-    (1.0 / 7.0, 4.0 / 21.0, 2.0 / 3.0),
-    (1.0 / 21.0, 2.0 / 7.0, 2.0 / 11.0, 16.0 / 33.0),
-    (1.0 / 21.0, 8.0 / 77.0, 4.0 / 11.0, 64.0 / 429.0, 48.0 / 143.0),
-)
+lift_third = lift_fifth = boundary_lift
 
 
 def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.ndarray:
-    """Monomial coefficients of L(lift), the rhs term induced by the lift."""
+    """Monomial coefficients of L(lift), the rhs term induced by the lift.
+
+    Coefficient d sums w_q (d+q)!/d! c_{d+q} from the highest q down.
+    """
     c = lift.coefficients
-    if order == 3:
-        a1, b1, g1 = problem.coefficients
-        return np.array([
-            -2.0 * a1 * c[2] - b1 * c[1] + g1 * c[0],
-            -2.0 * b1 * c[2] + g1 * c[1],
-            g1 * c[2],
-        ])
-    a2, b2, g2, d2, m2 = problem.coefficients
+    weights = order_spec(order).weights(problem.coefficients)
     return np.array([
-        24.0 * a2 * c[4] + 6.0 * b2 * c[3] - 2.0 * g2 * c[2] - d2 * c[1] + m2 * c[0],
-        24.0 * b2 * c[4] - 6.0 * g2 * c[3] - 2.0 * d2 * c[2] + m2 * c[1],
-        -12.0 * g2 * c[4] - 3.0 * d2 * c[3] + m2 * c[2],
-        -4.0 * d2 * c[4] + m2 * c[3],
-        m2 * c[4],
+        reduce(add, [math.perm(d + q, q) * weights[q] * c[d + q]
+                     for q in range(len(c) - 1 - d, -1, -1)])
+        for d in range(len(c))
     ])
 
 
@@ -434,39 +228,36 @@ def modified_rhs(order: int, lift: LiftPolynomial, base: np.ndarray, problem) ->
     """Add the lift-induced polynomial correction to the projected rhs.
 
     The correction L(lift) is a polynomial of degree < order, so it only
-    touches entries k <= 2 (order 3) or k <= 4 (order 5); its expansion in
-    the test family is exact via the monomial tables.
+    touches entries k < order; its expansion in the test family is exact
+    via the monomial tables.
     """
     out = np.asarray(base, dtype=float).copy()
     if lift.is_zero:
         return out
     g = lift_correction_polynomial(order, lift, problem)
-    tables = _MONO_TO_R12 if order == 3 else _MONO_TO_R23
+    table = order_spec(order).mono_to_test
     for degree, gd in enumerate(g):
         if gd == 0.0:
             continue
-        for i, c in enumerate(tables[degree]):
+        for i, c in enumerate(table[degree]):
             if i < out.size:
                 out[i] += gd * c
     return out
 
 
-def assemble_third(problem: ThirdOrderProblem, N: int) -> BandSystem:
-    """Band system D1 a = f* for a third-order problem (dimension N-2)."""
-    matrix = operator_matrix(3, problem.coefficients, N)
-    rhs = rhs_projection_third(problem.rhs, N)
+def assemble(problem, N: int) -> BandSystem:
+    """Band system D a = f* of a third- or fifth-order problem (dimension N-2m)."""
+    order = problem.order
+    matrix = operator_matrix(order, problem.coefficients, N)
+    rhs = rhs_projection(order, problem.rhs, N)
     if not problem.bc.is_homogeneous:
-        rhs = modified_rhs(3, lift_third(problem.bc), rhs, problem)
-    return BandSystem(matrix=matrix, rhs=rhs, dimension=N - 2, order=3)
+        rhs = modified_rhs(order, boundary_lift(problem.bc), rhs, problem)
+    return BandSystem(
+        matrix=matrix, rhs=rhs, dimension=order_spec(order).dimension(N), order=order
+    )
 
 
-def assemble_fifth(problem: FifthOrderProblem, N: int) -> BandSystem:
-    """Band system D2 a = f* for a fifth-order problem (dimension N-4)."""
-    matrix = operator_matrix(5, problem.coefficients, N)
-    rhs = rhs_projection_fifth(problem.rhs, N)
-    if not problem.bc.is_homogeneous:
-        rhs = modified_rhs(5, lift_fifth(problem.bc), rhs, problem)
-    return BandSystem(matrix=matrix, rhs=rhs, dimension=N - 4, order=5)
+assemble_third = assemble_fifth = assemble
 
 
 def operator_entry_oracle(order: int, coefficients, j: int, k: int, N: int) -> float:
@@ -478,7 +269,8 @@ def operator_entry_oracle(order: int, coefficients, j: int, k: int, N: int) -> f
     compensated, since the 1/h_k normalization amplifies rounding noise at
     high degree.
     """
-    weights = _operator_weights(order, coefficients)
+    spec = order_spec(order)
+    weights = spec.weights(coefficients)
     rule = gauss_jacobi_rule(JacobiParams(0.0, 0.0), N + 16)
     x = rule.nodes
     lphi = np.zeros_like(x)
@@ -486,17 +278,18 @@ def operator_entry_oracle(order: int, coefficients, j: int, k: int, N: int) -> f
         if w != 0.0:
             lphi += w * eval_phi(order, j, x, q)
     integrand = rule.weights * lphi * eval_psi(order, k, x)
-    return math.fsum(integrand) / norm_h(dual_params(order), k)
+    return math.fsum(integrand) / norm_h(spec.test_params, k)
 
 
 def operator_oracle_matrix(order: int, coefficients, N: int) -> np.ndarray:
     """Dense oracle matrix, every entry from operator_entry_oracle's route."""
-    dim = N - 2 if order == 3 else N - 4
-    weights = _operator_weights(order, coefficients)
+    spec = order_spec(order)
+    dim = spec.dimension(N)
+    weights = spec.weights(coefficients)
     rule = gauss_jacobi_rule(JacobiParams(0.0, 0.0), N + 16)
     x = rule.nodes
     psi = np.vstack([eval_psi(order, k, x) for k in range(dim)])
-    hk = np.array([norm_h(dual_params(order), k) for k in range(dim)])
+    hk = np.array([norm_h(spec.test_params, k) for k in range(dim)])
     out = np.empty((dim, dim))
     for j in range(dim):
         lphi = np.zeros_like(x)

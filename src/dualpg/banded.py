@@ -9,8 +9,11 @@ multiplication and division actually performed is counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from .orders import order_spec
 
 __all__ = [
     "SingularMatrixError",
@@ -18,7 +21,7 @@ __all__ = [
     "BandedMatrix",
     "BandedLU",
     "lu_factor_banded",
-    "solve_banded",
+    "solve_diagonal",
     "solve_diagonal_third",
     "solve_diagonal_fifth",
     "diagonal_third_from_moments",
@@ -192,19 +195,18 @@ def lu_factor_banded(matrix: BandedMatrix) -> BandedLU:
     return BandedLU(n=n, p=p, q=q, data=data, ops=ops)
 
 
-def solve_banded(factored: BandedLU, rhs: np.ndarray) -> tuple[np.ndarray, OpCount]:
-    """Solve the factored system for one right-hand side."""
-    return factored.solve(rhs)
+def solve_diagonal(order: int, fstar: np.ndarray) -> np.ndarray:
+    """Solve B a = fstar when all operator coefficients vanish.
 
-
-def solve_diagonal_third(fstar: np.ndarray) -> np.ndarray:
-    """Third-order solve when all operator coefficients vanish.
-
-    The system is the diagonal B1, so a_k = fstar_k / (2 (k+1) (k+3)).
+    B is the diagonal block B1 (order 3) or B2 (order 5), whose entries the
+    order spec holds, so a_k = fstar_k / B_kk.
     """
     fstar = np.asarray(fstar, dtype=float)
-    k = np.arange(fstar.size)
-    return fstar / (2.0 * (k + 1) * (k + 3))
+    return fstar / order_spec(order).diagonal(np.arange(fstar.size))
+
+
+solve_diagonal_third = partial(solve_diagonal, 3)
+solve_diagonal_fifth = partial(solve_diagonal, 5)
 
 
 def diagonal_third_from_moments(f: np.ndarray) -> np.ndarray:
@@ -212,13 +214,6 @@ def diagonal_third_from_moments(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     k = np.arange(f.size)
     return (k + 2) / 16.0 * f
-
-
-def solve_diagonal_fifth(fstar: np.ndarray) -> np.ndarray:
-    """Fifth-order diagonal solve: a_k = fstar_k / (3 (k+1)(k+2)(k+4)(k+5))."""
-    fstar = np.asarray(fstar, dtype=float)
-    k = np.arange(fstar.size)
-    return fstar / (3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5))
 
 
 def diagonal_fifth_from_moments(f: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,18 +26,14 @@ from .analysis import (
     evaluate_solution,
     max_pointwise_error,
     residual_norm,
-    solve_fifth,
-    solve_third,
+    solve,
+    solve_system,
 )
-from .assembly import (
-    FifthOrderProblem,
-    ThirdOrderProblem,
-    assemble_fifth,
-    assemble_third,
-)
+from .assembly import assemble
 from .banded import SingularMatrixError
 from .families import make_family
 from .jacobi import ConvergenceError
+from .orders import SPECS, order_spec
 from .verify import run_verification
 
 __all__ = ["RunConfig", "main", "run_table", "run_solve", "run_verify"]
@@ -84,24 +80,32 @@ TABLE3_BLOCKS = (
      {8: 3.927e-1, 12: 8.773e-3, 16: 4.369e-5, 20: 5.206e-8, 24: 2.417e-11}),
 )
 
+# (j, m, coefficients, {N: reference error}); families 2 and 3 have no j
 TABLE4_BLOCKS = (
-    (3.0, (0.0, 0.0, 0.0, 0.0, 0.0),
+    (None, 3.0, (0.0, 0.0, 0.0, 0.0, 0.0),
      {8: 1.135e-1, 12: 2.464e-4, 16: 8.165e-8, 20: 1.098e-11, 24: 5.551e-16}),
-    (1.0, (1.0, 1.0, 1.0, 1.0, 1.0),
+    (None, 1.0, (1.0, 1.0, 1.0, 1.0, 1.0),
      {8: 1.102e-3, 12: 3.164e-8, 16: 1.312e-13, 20: 2.220e-16, 24: 2.220e-16}),
-    (2.0, (0.0, 1.0, 0.0, 1.0, 0.0),
+    (None, 2.0, (0.0, 1.0, 0.0, 1.0, 0.0),
      {8: 1.927e-2, 12: 8.652e-6, 16: 5.776e-10, 20: 1.598e-14, 24: 3.330e-16}),
-    (0.5, (1.0, 2.0, 1.0, 2.0, 1.0),
+    (None, 0.5, (1.0, 2.0, 1.0, 2.0, 1.0),
      {8: 6.658e-5, 12: 1.215e-10, 16: 6.661e-16, 20: 6.661e-16, 24: 6.661e-16}),
 )
 
 # the (m=2, N=8) cell is printed as "1545e-5"; 1.545e-5 is carried here
 TABLE5_BLOCKS = (
-    (1.0, (0.0, 0.0, 0.0), {8: 2.804e-8, 12: 9.536e-14, 16: 1.110e-16}),
-    (1.0, (1.0, 1.0, 1.0), {8: 2.819e-8, 12: 9.736e-14, 16: 1.110e-16}),
-    (2.0, (0.0, 1.0, 0.0), {8: 1.545e-5, 12: 8.248e-10, 16: 1.310e-14}),
-    (3.0, (1.0, 0.0, 1.0), {8: 6.919e-4, 12: 1.808e-7, 16: 1.414e-11}),
+    (None, 1.0, (0.0, 0.0, 0.0), {8: 2.804e-8, 12: 9.536e-14, 16: 1.110e-16}),
+    (None, 1.0, (1.0, 1.0, 1.0), {8: 2.819e-8, 12: 9.736e-14, 16: 1.110e-16}),
+    (None, 2.0, (0.0, 1.0, 0.0), {8: 1.545e-5, 12: 8.248e-10, 16: 1.310e-14}),
+    (None, 3.0, (1.0, 0.0, 1.0), {8: 6.919e-4, 12: 1.808e-7, 16: 1.414e-11}),
 )
+
+# error table -> (family, N grid, j of a custom block or None, reference blocks)
+ERROR_TABLES = {
+    "table3": (1, ERROR_N_GRID, 1, TABLE3_BLOCKS),
+    "table4": (2, ERROR_N_GRID, None, TABLE4_BLOCKS),
+    "table5": (3, (8, 12, 16), None, TABLE5_BLOCKS),
+}
 
 
 @dataclass(frozen=True)
@@ -157,13 +161,13 @@ def _resolve_coeffs(spec, N: int) -> tuple[float, ...]:
 
 def run_table(config: RunConfig) -> tuple[list[str], list[list[str]]]:
     """Rows for one of the five reference tables."""
-    orders = (3, 5) if config.order is None else (config.order,)
+    orders = tuple(SPECS) if config.order is None else (config.order,)
     if config.command == "table1":
         header = ["n", "N", "alpha_min", "alpha_max", "cond", "cond_over_N2n",
                   "reference", "ratio"]
         rows = []
         for order in orders:
-            label = 1 if order == 3 else 2
+            label = order_spec(order).m
             for N in TABLE_N_GRID:
                 rep = condition_diagonal(order, N)
                 rows.append(
@@ -176,7 +180,7 @@ def run_table(config: RunConfig) -> tuple[list[str], list[list[str]]]:
         header = ["n", "N", "cond", "cond_over_N2n", "reference", "ratio"]
         rows = []
         for order in orders:
-            label = 1 if order == 3 else 2
+            label = order_spec(order).m
             for N in TABLE_N_GRID:
                 rep = condition_full(order, N)
                 rows.append(
@@ -185,85 +189,41 @@ def run_table(config: RunConfig) -> tuple[list[str], list[list[str]]]:
                     + _ref_cells(rep.cond, TABLE2_REF.get((label, N)))
                 )
         return header, rows
-    if config.command == "table3":
-        header = ["N", "j", "m", "alpha1", "beta1", "gamma1", "error",
-                  "reference", "ratio"]
-        if config.j is not None or config.m is not None or config.coeffs is not None:
-            blocks = [(
-                config.j if config.j is not None else 1,
-                config.m if config.m is not None else 1.0,
-                config.coeffs if config.coeffs is not None else (0.0, 0.0, 0.0),
-                {},
-            )]
-        else:
-            blocks = TABLE3_BLOCKS
-        rows = []
-        for j, m, spec, refs in blocks:
-            family = make_family(1, j=j, m=m)
-            for N in ERROR_N_GRID:
-                coeffs = _resolve_coeffs(spec, N)
-                sol = solve_third(family.third_order_problem(coeffs), N)
-                err = max_pointwise_error(sol, family.exact)
-                rows.append(
-                    [str(N), str(j), _fmt(m, 6)]
-                    + [_fmt(c, 6) for c in coeffs]
-                    + [_fmt_err(err)] + _ref_cells(err, refs.get(N))
-                )
-        return header, rows
-    if config.command == "table4":
-        header = ["N", "m", "alpha2", "beta2", "gamma2", "delta2", "mu2",
-                  "error", "reference", "ratio"]
-        if config.m is not None or config.coeffs is not None:
-            blocks = [(
-                config.m if config.m is not None else 1.0,
-                config.coeffs if config.coeffs is not None else (0.0,) * 5,
-                {},
-            )]
-        else:
-            blocks = TABLE4_BLOCKS
-        rows = []
-        for m, coeffs, refs in blocks:
-            family = make_family(2, m=m)
-            for N in ERROR_N_GRID:
-                sol = solve_fifth(family.fifth_order_problem(coeffs), N)
-                err = max_pointwise_error(sol, family.exact)
-                rows.append(
-                    [str(N), _fmt(m, 6)] + [_fmt(c, 6) for c in coeffs]
-                    + [_fmt_err(err)] + _ref_cells(err, refs.get(N))
-                )
-        return header, rows
-    if config.command == "table5":
-        header = ["N", "m", "alpha1", "beta1", "gamma1", "error",
-                  "reference", "ratio"]
-        if config.m is not None or config.coeffs is not None:
-            blocks = [(
-                config.m if config.m is not None else 1.0,
-                config.coeffs if config.coeffs is not None else (0.0, 0.0, 0.0),
-                {},
-            )]
-        else:
-            blocks = TABLE5_BLOCKS
-        rows = []
-        for m, coeffs, refs in blocks:
-            family = make_family(3, m=m)
-            for N in (8, 12, 16):
-                sol = solve_third(family.third_order_problem(coeffs), N)
-                err = max_pointwise_error(sol, family.exact)
-                rows.append(
-                    [str(N), _fmt(m, 6)] + [_fmt(c, 6) for c in coeffs]
-                    + [_fmt_err(err)] + _ref_cells(err, refs.get(N))
-                )
-        return header, rows
-    raise UsageError(f"unknown table command {config.command!r}")
+    if config.command not in ERROR_TABLES:
+        raise UsageError(f"unknown table command {config.command!r}")
+    family_id, grid, default_j, blocks = ERROR_TABLES[config.command]
+    spec = order_spec(make_family(family_id).order)
+    j = config.j if default_j is not None else None  # only table3 takes --j
+    if j is not None or config.m is not None or config.coeffs is not None:
+        zeros = (0.0,) * spec.n_coefficients
+        blocks = [(default_j if j is None else j,
+                   1.0 if config.m is None else config.m,
+                   zeros if config.coeffs is None else config.coeffs, {})]
+    header = (["N"] + ([] if default_j is None else ["j"]) + ["m"]
+              + [f.name for f in fields(spec.problem)[:spec.n_coefficients]]
+              + ["error", "reference", "ratio"])
+    rows = []
+    for j, m, coeff_spec, refs in blocks:
+        family = make_family(family_id, j=j, m=m)
+        for N in grid:
+            coeffs = _resolve_coeffs(coeff_spec, N)
+            err = max_pointwise_error(solve(family.problem(coeffs), N), family.exact)
+            rows.append(
+                [str(N)] + ([] if j is None else [str(j)]) + [_fmt(m, 6)]
+                + [_fmt(c, 6) for c in coeffs]
+                + [_fmt_err(err)] + _ref_cells(err, refs.get(N))
+            )
+    return header, rows
 
 
 def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
     """Solve one problem; rows hold coefficients, samples, residual, condition."""
-    order = 3 if config.command == "solve3" else 5
+    order = int(config.command.removeprefix("solve"))
+    spec = order_spec(order)
     N = config.n
     if N is None:
         raise UsageError(f"{config.command} requires --n")
-    n_coeffs = 3 if order == 3 else 5
+    n_coeffs = spec.n_coefficients
     coeffs = config.coeffs if config.coeffs is not None else (0.0,) * n_coeffs
     if len(coeffs) != n_coeffs:
         raise UsageError(f"{config.command} needs {n_coeffs} operator coefficients")
@@ -275,29 +235,19 @@ def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
             raise UsageError(
                 f"example {config.example} is an order-{family.order} family"
             )
-        if order == 3:
-            problem = family.third_order_problem(coeffs)
-        else:
-            problem = family.fifth_order_problem(coeffs)
+        problem = family.problem(coeffs)
     elif config.rhs_poly is not None:
         poly = np.asarray(config.rhs_poly, dtype=float)
 
         def rhs(x, _poly=poly):
             return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), _poly)
 
-        if order == 3:
-            problem = ThirdOrderProblem(*coeffs, rhs=rhs)
-        else:
-            problem = FifthOrderProblem(*coeffs, rhs=rhs)
+        problem = spec.problem(*coeffs, rhs=rhs)
     else:
         raise UsageError(f"{config.command} needs --example or --rhs-poly")
 
-    if order == 3:
-        solution = solve_third(problem, N)
-        system = assemble_third(problem, N)
-    else:
-        solution = solve_fifth(problem, N)
-        system = assemble_fifth(problem, N)
+    system = assemble(problem, N)
+    solution = solve_system(problem, N, system)
     residual = residual_norm(system, solution.coefficients)
     if all(c == 0.0 for c in coeffs):
         report = condition_diagonal(order, N)
@@ -372,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("table1", "table2"):
         p = sub.add_parser(name, help=f"reproduce reference {name}")
-        p.add_argument("--order", type=int, choices=(3, 5))
+        p.add_argument("--order", type=int, choices=tuple(SPECS))
         add_common(p)
     for name, has_j in (("table3", True), ("table4", False), ("table5", False)):
         p = sub.add_parser(name, help=f"reproduce reference {name}")
@@ -381,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=float)
         p.add_argument("--coeffs", type=_coeff_list)
         add_common(p)
-    for name in ("solve3", "solve5"):
-        p = sub.add_parser(name, help=f"solve one order-{name[-1]} problem")
+    for order in SPECS:
+        p = sub.add_parser(f"solve{order}", help=f"solve one order-{order} problem")
         p.add_argument("--n", type=int, required=True, help="truncation N")
         p.add_argument("--coeffs", type=_coeff_list)
         p.add_argument("--example", type=int, choices=(1, 2, 3))

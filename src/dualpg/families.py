@@ -16,10 +16,12 @@ polluted by differentiation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .assembly import FifthOrderBC, FifthOrderProblem, ThirdOrderBC, ThirdOrderProblem
+from .orders import order_spec
 
 __all__ = ["TrigPolySum", "ExampleFamily", "make_family"]
 
@@ -84,63 +86,33 @@ class ExampleFamily:
     def derivative(self, q: int) -> TrigPolySum:
         return self.derivatives[q]
 
-    def rhs_third(self, coefficients):
-        a1, b1, g1 = coefficients
+    def rhs(self, coefficients):
+        """Right-hand side L u of the family's order for these coefficients."""
+        weights = order_spec(self.order).weights(coefficients)
         d = self.derivatives
 
         def rhs(x):
-            return d[3](x) - a1 * d[2](x) - b1 * d[1](x) + g1 * d[0](x)
+            return reduce(add, [w * d[q](x) for q, w in weights.items()])
 
         return rhs
 
-    def rhs_fifth(self, coefficients):
-        a2, b2, g2, d2, m2 = coefficients
-        d = self.derivatives
-
-        def rhs(x):
-            return (-d[5](x) + a2 * d[4](x) + b2 * d[3](x)
-                    - g2 * d[2](x) - d2 * d[1](x) + m2 * d[0](x))
-
-        return rhs
-
-    def bc_third(self) -> ThirdOrderBC:
+    def bc(self):
+        """Boundary data of the exact solution, as the order's BC record."""
+        spec = order_spec(self.order)
         if self.homogeneous:
             # exact zeros: evaluating sin(m pi) etc. would leave roundoff
-            return ThirdOrderBC()
-        return ThirdOrderBC(
-            a_minus=self.exact(-1.0),
-            a_plus=self.exact(1.0),
-            a1_plus=self.derivatives[1](1.0),
-        )
+            return spec.bc()
+        return spec.bc(*(self.derivatives[i](x) for i, x in spec.boundary_points))
 
-    def bc_fifth(self) -> FifthOrderBC:
-        if self.homogeneous:
-            return FifthOrderBC()
-        return FifthOrderBC(
-            a_minus=self.exact(-1.0),
-            a_plus=self.exact(1.0),
-            a1_minus=self.derivatives[1](-1.0),
-            a1_plus=self.derivatives[1](1.0),
-            a2_plus=self.derivatives[2](1.0),
-        )
+    def problem(self, coefficients):
+        """The family's boundary value problem for these operator coefficients."""
+        rhs = self.rhs(coefficients)
+        return order_spec(self.order).problem(*coefficients, rhs=rhs, bc=self.bc())
 
-    def third_order_problem(self, coefficients) -> ThirdOrderProblem:
-        if self.order != 3:
-            raise ValueError(f"family {self.family_id} is not a third-order family")
-        a1, b1, g1 = coefficients
-        return ThirdOrderProblem(
-            alpha1=a1, beta1=b1, gamma1=g1,
-            rhs=self.rhs_third(coefficients), bc=self.bc_third(),
-        )
-
-    def fifth_order_problem(self, coefficients) -> FifthOrderProblem:
-        if self.order != 5:
-            raise ValueError(f"family {self.family_id} is not a fifth-order family")
-        a2, b2, g2, d2, m2 = coefficients
-        return FifthOrderProblem(
-            alpha2=a2, beta2=b2, gamma2=g2, delta2=d2, mu2=m2,
-            rhs=self.rhs_fifth(coefficients), bc=self.bc_fifth(),
-        )
+    # a family of the other order fails the coefficient count in `rhs`
+    rhs_third = rhs_fifth = rhs
+    bc_third = bc_fifth = bc
+    third_order_problem = fifth_order_problem = problem
 
 
 def _with_derivatives(

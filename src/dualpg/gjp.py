@@ -22,6 +22,7 @@ from math import comb
 import numpy as np
 
 from .jacobi import JacobiParams, eval_R, eval_R_derivative, eval_R_table
+from .orders import order_spec
 
 __all__ = [
     "GJPIndex",
@@ -29,24 +30,11 @@ __all__ = [
     "eval_J",
     "eval_phi",
     "eval_psi",
-    "trial_params",
     "dual_params",
     "legendre_expansion_J",
 ]
 
 _LEGENDRE = JacobiParams(0.0, 0.0)
-
-# weight-factor polynomials, ascending coefficients
-_TRIAL_WEIGHT = {
-    3: np.array([1.0, -1.0, -1.0, 1.0]),            # (1-x^2)(1-x)
-    5: np.array([1.0, -1.0, -2.0, 2.0, 1.0, -1.0]),  # (1-x^2)^2(1-x)
-}
-_TEST_WEIGHT = {
-    3: np.array([1.0, 1.0, -1.0, -1.0]),             # (1-x^2)(1+x)
-    5: np.array([1.0, 1.0, -2.0, -2.0, 1.0, 1.0]),   # (1-x^2)^2(1+x)
-}
-_TRIAL_PARAMS = {3: JacobiParams(2.0, 1.0), 5: JacobiParams(3.0, 2.0)}
-_TEST_PARAMS = {3: JacobiParams(1.0, 2.0), 5: JacobiParams(2.0, 3.0)}
 
 
 @dataclass(frozen=True)
@@ -95,31 +83,19 @@ def _poly_derivative_values(coeffs: np.ndarray, i: int, x: np.ndarray) -> np.nda
     return np.polynomial.polynomial.polyval(x, c)
 
 
-def _check_order(order: int) -> None:
-    if order not in (3, 5):
-        raise ValueError(f"order must be 3 or 5, got {order}")
-
-
-def trial_params(order: int) -> JacobiParams:
-    """Classical index pair of the R factor inside the trial basis."""
-    _check_order(order)
-    return _TRIAL_PARAMS[order]
-
-
 def dual_params(order: int) -> JacobiParams:
     """Classical index pair of the R factor inside the test basis."""
-    _check_order(order)
-    return _TEST_PARAMS[order]
+    return order_spec(order).test_params
 
 
 def eval_phi(order: int, k: int, x, q: int = 0):
     """q-th derivative of the trial basis function phi_k (q <= order)."""
-    _check_order(order)
+    spec = order_spec(order)
     if not 0 <= q <= order:
         raise ValueError(f"derivative order must be in 0..{order}, got {q}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    weight = _TRIAL_WEIGHT[order]
-    params = _TRIAL_PARAMS[order]
+    weight = spec.trial_weight
+    params = spec.trial_params
     total = np.zeros(arr.shape)
     for i in range(min(q, len(weight) - 1) + 1):
         wi = _poly_derivative_values(weight, i, arr)
@@ -129,10 +105,10 @@ def eval_phi(order: int, k: int, x, q: int = 0):
 
 def eval_psi(order: int, k: int, x):
     """Dual (test) basis function psi_k."""
-    _check_order(order)
+    spec = order_spec(order)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _poly_derivative_values(_TEST_WEIGHT[order], 0, arr) * eval_R(
-        _TEST_PARAMS[order], k, arr
+    vals = _poly_derivative_values(spec.test_weight, 0, arr) * eval_R(
+        spec.test_params, k, arr
     )
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
@@ -146,7 +122,7 @@ class BasisFamily:
     truncation: int
 
     def __post_init__(self) -> None:
-        _check_order(self.order)
+        order_spec(self.order)
         if self.kind not in ("trial", "test"):
             raise ValueError(f"kind must be 'trial' or 'test', got {self.kind!r}")
         if self.truncation < self.order:
@@ -157,7 +133,7 @@ class BasisFamily:
 
     @property
     def dimension(self) -> int:
-        return self.truncation - (2 if self.order == 3 else 4)
+        return order_spec(self.order).dimension(self.truncation)
 
     def eval(self, k: int, x, q: int = 0):
         if not 0 <= k < self.dimension:

@@ -51,6 +51,7 @@ from .jacobi import (
     norm_h,
     pochhammer,
 )
+from .orders import order_spec
 
 __all__ = ["SuiteResult", "run_verification", "SUITES"]
 
@@ -358,7 +359,7 @@ def suite_manufactured_coefficients() -> SuiteResult:
     worst = 0.0
     for order, coeff_sets, N in ((3, THIRD_COEFF_SETS, 16), (5, FIFTH_COEFF_SETS, 18)):
         dim = N - 2 if order == 3 else N - 4
-        weights = assembly._operator_weights(order, coeff_sets[1])
+        weights = order_spec(order).weights(coeff_sets[1])
         a_true = rng.uniform(-1.0, 1.0, dim)
 
         def rhs(x, _w=weights, _a=a_true, _order=order):
@@ -671,9 +672,9 @@ def suite_tabulated_entry_formulas() -> SuiteResult:
 def suite_printed_lift_factors() -> SuiteResult:
     """Printed nonhomogeneous rhs multipliers vs the exact projection."""
     printed3 = (1.0, 6.0 / 5.0, 10.0 / 7.0)
-    exact3 = tuple(assembly._MONO_TO_R12[d][d] for d in range(3))
+    exact3 = tuple(order_spec(3).mono_to_test[d][d] for d in range(3))
     printed5 = (1.0, 8.0 / 7.0, 4.0 / 3.0, 50.0 / 33.0, 238.0 / 143.0)
-    exact5 = tuple(assembly._MONO_TO_R23[d][d] for d in range(5))
+    exact5 = tuple(order_spec(5).mono_to_test[d][d] for d in range(5))
     lines = []
     for d, (a, b) in enumerate(zip(printed3, exact3)):
         if abs(a - b) > 1e-12:

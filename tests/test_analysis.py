@@ -22,6 +22,7 @@ from dualpg.assembly import (
 )
 from dualpg.families import make_family
 from dualpg.gjp import eval_phi
+from dualpg.jacobi import ConvergenceError
 
 
 def zero_lift(order):
@@ -94,6 +95,17 @@ class TestConditionFull:
         sig = np.linalg.svd(dense, compute_uv=False)
         assert rep.cond == pytest.approx(sig[0] / sig[-1], rel=1e-8)
 
+    @pytest.mark.xfail(
+        raises=ConvergenceError, strict=True,
+        reason="D has a complex dominant eigenpair, so the eig_max power "
+               "iteration never converges (cond itself is 46.48)",
+    )
+    def test_complex_dominant_eigenpair(self):
+        coeffs = (3.81, 1.42, 1.84)
+        rep = condition_full(3, 16, coeffs)
+        dense = operator_matrix(3, coeffs, 16).to_dense()
+        assert rep.cond == pytest.approx(np.linalg.cond(dense), rel=1e-8)
+
 
 class TestEvaluateSolution:
     def test_zero_everywhere(self):
@@ -123,6 +135,8 @@ class TestEvaluateSolution:
     def test_coefficient_count_validated(self):
         with pytest.raises(ValueError):
             SpectralSolution(3, 10, np.zeros(5), zero_lift(3))
+        with pytest.raises(ValueError):
+            SpectralSolution(4, 10, np.zeros(6), zero_lift(3))
 
 
 class TestMaxPointwiseError:

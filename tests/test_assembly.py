@@ -208,6 +208,8 @@ class TestLiftFifth:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             LiftPolynomial(order=5, coefficients=(1.0, 2.0))
+        with pytest.raises(ValueError):
+            LiftPolynomial(order=4, coefficients=(0.0,) * 5)
 
 
 class TestModifiedRhs:

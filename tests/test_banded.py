@@ -10,7 +10,6 @@ from dualpg.banded import (
     diagonal_fifth_from_moments,
     diagonal_third_from_moments,
     lu_factor_banded,
-    solve_banded,
     solve_diagonal_fifth,
     solve_diagonal_third,
 )
@@ -93,7 +92,7 @@ class TestLU:
         rng = np.random.default_rng(11)
         m = random_band(8, 2, 2, rng, dominance=3.0)
         rhs = rng.uniform(-1, 1, 8)
-        x, _ = solve_banded(lu_factor_banded(m), rhs)
+        x, _ = lu_factor_banded(m).solve(rhs)
         expect = np.linalg.solve(m.to_dense(), rhs)
         assert np.max(np.abs(x - expect)) < 1e-11
 

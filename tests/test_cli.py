@@ -7,6 +7,7 @@ import pytest
 
 import dualpg.assembly as assembly
 from dualpg.cli import RunConfig, main, run_solve, run_table
+from dualpg.orders import order_spec
 from dualpg.verify import suite_oracle_equivalence_third
 
 
@@ -155,6 +156,23 @@ class TestSolve:
     def test_unknown_command(self, capsys):
         assert main(["tableX"]) == 1
 
+    @pytest.mark.parametrize("command,example,coeffs", [
+        ("solve3", 1, (2.0, 3.0, 4.0)),
+        ("solve5", 2, (1.0,) * 5),
+    ])
+    def test_projects_rhs_once(self, monkeypatch, command, example, coeffs):
+        # the residual comes from the system the solve used, not a second assembly
+        original = assembly._projection
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_projection", counting)
+        run_solve(RunConfig(command=command, n=12, example=example, coeffs=coeffs))
+        assert len(calls) == 1
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         import dualpg.cli as cli
         from dualpg.jacobi import ConvergenceError
@@ -194,7 +212,7 @@ class TestVerifyCommand:
                 out[j] = -out[j]  # sign flip on the E0 diagonal
             return out
 
-        monkeypatch.setattr(assembly, "third_expansion", flipped)
+        monkeypatch.setattr(order_spec(3), "expansion", flipped)
         result = suite_oracle_equivalence_third()
         assert not result.passed
         match = re.search(r"worst entry \((\d+), (\d+)\)", result.detail)
