@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 PROJECTION_TOL = 1e-14
-PROJECTION_MAX_DOUBLINGS = 6
+PROJECTION_MAX_NODES = 2560
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,11 @@ def _projection(
     4x against the previous one has hit the rounding floor of the rule
     family rather than a resolution limit (unresolved smooth integrands
     decay spectrally per doubling) and is likewise accepted.
+
+    The rule doubles from max(N + 8, 40) nodes up to a budget of
+    max(2560, 4 * max(N + 8, 40)); a right-hand side still unresolved there
+    (a kink or a singularity) raises `ConvergenceError` instead of growing
+    the dense rule without bound.
     """
     hk = np.array([norm_h(params, k) for k in range(dim)])
     eps = np.finfo(float).eps
@@ -172,9 +177,10 @@ def _projection(
         return table @ weighted / hk, roundoff
 
     count = max(N + 8, 40)
+    ceiling = max(PROJECTION_MAX_NODES, 4 * count)
     current, _ = evaluate(count)
     previous_change = None
-    for _ in range(PROJECTION_MAX_DOUBLINGS):
+    while 2 * count <= ceiling:
         count *= 2
         refined, roundoff = evaluate(count)
         diff = np.abs(refined - current)
@@ -188,7 +194,7 @@ def _projection(
         previous_change = change
     raise ConvergenceError(
         f"rhs projection did not stabilize to {PROJECTION_TOL:g} "
-        f"at {count} quadrature nodes"
+        f"at {count} quadrature nodes (node budget {ceiling} for N = {N})"
     )
 
 

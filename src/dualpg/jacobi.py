@@ -7,12 +7,14 @@ recurrence.  Derivatives use the index-shift relation
     D^q R_n^{(a,b)} = (n-q+1)_q (n+a+b+1)_q / (2^q (a+1)_q) * R_{n-q}^{(a+q,b+q)},
 
 never Rodrigues' formula or a monomial expansion.  Quadrature nodes are the
-roots of R_count, located by safeguarded Newton iteration bracketed by the
-interlacing roots of the count-1 rule; weights come from the derivative
+roots of R_count: each rule is built directly from the eigenvalues of the
+count x count symmetric Jacobi matrix of the weight (Golub & Welsch 1969),
+polished by two Newton sweeps on R_count; weights come from the derivative
 formula and are validated by the degree-(2*count-1) exactness contract.
 
-All functions are pure and all types immutable, so everything here is safe
-to share across threads.
+All functions are pure and all types immutable; the rule cache is the only
+shared state and is guarded by a lock, so everything here is safe to share
+across threads.
 """
 from __future__ import annotations
 
@@ -33,10 +35,6 @@ __all__ = [
     "norm_h",
     "gauss_jacobi_rule",
 ]
-
-NEWTON_TOL = 1e-14
-NEWTON_MAX_ITER = 200
-
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to reach its tolerance."""
@@ -76,22 +74,32 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def eval_R_table(params: JacobiParams, nmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of R_0 .. R_nmax at the points x, shape (nmax+1, x.size)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
+    """Yield R_0 .. R_nmax at the 1-d points x, keeping two rows alive."""
     a, b = params.alpha, params.beta
     lam = params.lam
-    table = np.empty((nmax + 1, x.size))
-    table[0] = 1.0
-    if nmax >= 1:
-        table[1] = (a - b + (lam + 1.0) * x) / (2.0 * (a + 1.0))
+    prev = np.ones(x.size)
+    yield prev
+    if nmax < 1:
+        return
+    cur = (a - b + (lam + 1.0) * x) / (2.0 * (a + 1.0))
+    yield cur
     for n in range(1, nmax):
         s = 2.0 * n + lam
         c0 = 2.0 * (n + lam) * (n + a + 1.0) * (s - 1.0)
         c1 = (s - 1.0) * s * (s + 1.0)
         c2 = (a * a - b * b) * s
         c3 = 2.0 * n * (n + b) * (s + 1.0)
-        table[n + 1] = ((c1 * x + c2) * table[n] - c3 * table[n - 1]) / c0
+        prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
+        yield cur
+
+
+def eval_R_table(params: JacobiParams, nmax: int, x: np.ndarray) -> np.ndarray:
+    """Table of R_0 .. R_nmax at the points x, shape (nmax+1, x.size)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    table = np.empty((nmax + 1, x.size))
+    for n, row in enumerate(_R_rows(params, nmax, x)):
+        table[n] = row
     return table
 
 
@@ -99,11 +107,14 @@ def eval_R(params: JacobiParams, n: int, x):
     """R_n^{(alpha,beta)}(x) via the three-term recurrence.
 
     Accepts a scalar or an array of points and matches the input shape.
+    Only two rows of the recurrence are kept, so memory is O(x.size).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     arr = np.asarray(x, dtype=float)
-    vals = eval_R_table(params, n, arr.ravel())[n].reshape(arr.shape)
+    for row in _R_rows(params, n, arr.ravel()):
+        pass
+    vals = row.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals
 
 
@@ -179,48 +190,6 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _newton_refine(params: JacobiParams, n: int, prev: np.ndarray) -> np.ndarray:
-    """Roots of R_n, bracketed by the interlacing roots of R_{n-1}."""
-    lo = np.concatenate(([-1.0], prev))
-    hi = np.concatenate((prev, [1.0]))
-    x = 0.5 * (lo + hi)
-    # Chebyshev-point guesses for the two outermost roots, clipped inward
-    outer = math.cos(math.pi / (2.0 * n))
-    x[0] = np.clip(-outer, lo[0] + 0.25 * (hi[0] - lo[0]), x[0])
-    x[-1] = np.clip(outer, x[-1], hi[-1] - 0.25 * (hi[-1] - lo[-1]))
-    # sign of R_n at the top of bracket i: alternates, +1 at x = 1
-    sign_hi = np.where((n - 1 - np.arange(n)) % 2 == 0, 1.0, -1.0)
-    for _ in range(NEWTON_MAX_ITER):
-        table = eval_R_table(params, n, x)
-        f = table[n]
-        shrinking = f * sign_hi > 0
-        hi = np.where(shrinking, x, hi)
-        lo = np.where(shrinking, lo, x)
-        df = np.asarray(eval_R_derivative(params, n, 1, x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(df != 0.0, f / df, np.inf)
-        cand = x - step
-        inside = (cand > lo) & (cand < hi)
-        new = np.where(inside, cand, 0.5 * (lo + hi))
-        moved = np.abs(new - x)
-        x = new
-        if np.all(moved <= NEWTON_TOL):
-            # two unguarded polishing sweeps push the roots from the 1e-14
-            # stopping level down to the evaluation noise floor; the final
-            # rule accuracy feeds straight into the projection moments
-            for _ in range(2):
-                f = eval_R_table(params, n, x)[n]
-                df = np.asarray(eval_R_derivative(params, n, 1, x))
-                x = np.where(df != 0.0, x - f / df, x)
-            return x
-    worst = int(np.argmax(np.abs(moved)))
-    raise ConvergenceError(
-        f"Gauss-Jacobi node search for count={n}, params="
-        f"({params.alpha}, {params.beta}) did not reach {NEWTON_TOL:g} within "
-        f"{NEWTON_MAX_ITER} iterations (root {worst}, last step {moved[worst]:.3e})"
-    )
-
-
 def _make_rule(params: JacobiParams, count: int, nodes: np.ndarray) -> QuadratureRule:
     # weights from the Gauss-Jacobi derivative formula; the leading factor
     # is the leading-coefficient ratio K_n / K_{n-1} of R_n over R_{n-1}
@@ -236,26 +205,60 @@ def _make_rule(params: JacobiParams, count: int, nodes: np.ndarray) -> Quadratur
     return QuadratureRule(params=params, nodes=nodes, weights=weights, count=count)
 
 
-_RULE_LADDERS: dict[tuple[float, float], list[QuadratureRule]] = {}
+def _jacobi_matrix_nodes(params: JacobiParams, count: int) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub-Welsch).
+
+    The monic recurrence of the weight (1-x)^a (1+x)^b has diagonal
+    (b^2 - a^2) / (s (s + 2)) and squared off-diagonal
+    4k (k+a) (k+b) (k+a+b) / (s^2 (s+1) (s-1)), s = 2k + a + b; the k = 0
+    diagonal and k = 1 off-diagonal are written in closed form, because the
+    general formulas read 0/0 there when a + b = 0 or a + b = -1.
+    """
+    a, b = params.alpha, params.beta
+    k = np.arange(float(count))
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        off_sq = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    if count > 1:
+        off_sq[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    off = np.sqrt(off_sq[1:])
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(matrix)
+
+
+def _build_rule(params: JacobiParams, count: int) -> QuadratureRule:
+    x = _jacobi_matrix_nodes(params, count)
+    # two unguarded Newton sweeps push the eigenvalues from the 1e-14 level
+    # of the dense solver down to the evaluation noise floor of R_count; the
+    # final rule accuracy feeds straight into the projection moments
+    for _ in range(2):
+        f = eval_R(params, count, x)
+        df = np.asarray(eval_R_derivative(params, count, 1, x))
+        x = np.where(df != 0.0, x - f / df, x)
+    return _make_rule(params, count, x)
+
+
+_RULES: dict[tuple[float, float, int], QuadratureRule] = {}
 _RULE_LOCK = threading.Lock()
 
 
 def gauss_jacobi_rule(params: JacobiParams, count: int) -> QuadratureRule:
     """Gauss-Jacobi rule with `count` nodes for the given weight indexes.
 
-    Rules are built bottom-up (the count-1 roots bracket the new ones), so
-    the whole ladder up to `count` is cached per parameter pair; the cache
-    is the one piece of shared state here, hence the lock.
+    Each rule is built on its own: Jacobi-matrix eigenvalues, two Newton
+    sweeps on R_count, derivative-formula weights.  Rules are cached by
+    (alpha, beta, count); the cache is the one piece of shared state here,
+    so a miss builds under a lock and every caller gets the same object.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    with _RULE_LOCK:
-        ladder = _RULE_LADDERS.setdefault((params.alpha, params.beta), [])
-        if not ladder:
-            first = np.array([(params.beta - params.alpha) / (params.lam + 1.0)])
-            ladder.append(_make_rule(params, 1, first))
-        while len(ladder) < count:
-            n = len(ladder) + 1
-            nodes = _newton_refine(params, n, ladder[-1].nodes)
-            ladder.append(_make_rule(params, n, nodes))
-        return ladder[count - 1]
+    key = (params.alpha, params.beta, count)
+    rule = _RULES.get(key)
+    if rule is None:
+        with _RULE_LOCK:
+            rule = _RULES.get(key)
+            if rule is None:
+                rule = _RULES[key] = _build_rule(params, count)
+    return rule

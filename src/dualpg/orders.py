@@ -10,7 +10,9 @@ expansions, B1/B2 diagonal, monomial tables and closed-form lift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -32,6 +34,16 @@ __all__ = [
 _P = np.polynomial.polynomial
 
 
+def _require_finite(record) -> None:
+    """Reject a NaN or infinite number in any real field of a data record."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Real) and not math.isfinite(value):
+            raise ValueError(
+                f"{type(record).__name__}.{f.name} must be finite, got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class ThirdOrderBC:
     """Boundary data u(-1) = a_minus, u(1) = a_plus, u'(1) = a1_plus."""
@@ -40,6 +52,9 @@ class ThirdOrderBC:
     a_minus: float = 0.0
     a_plus: float = 0.0
     a1_plus: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -56,6 +71,9 @@ class FifthOrderBC:
     a1_minus: float = 0.0
     a1_plus: float = 0.0
     a2_plus: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -76,6 +94,9 @@ class ThirdOrderProblem:
     rhs: Callable[[np.ndarray], np.ndarray]
     bc: ThirdOrderBC = field(default_factory=ThirdOrderBC)
 
+    def __post_init__(self) -> None:
+        _require_finite(self)
+
     @property
     def coefficients(self) -> tuple[float, float, float]:
         return (self.alpha1, self.beta1, self.gamma1)
@@ -93,6 +114,9 @@ class FifthOrderProblem:
     mu2: float
     rhs: Callable[[np.ndarray], np.ndarray]
     bc: FifthOrderBC = field(default_factory=FifthOrderBC)
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     @property
     def coefficients(self) -> tuple[float, float, float, float, float]:

@@ -13,6 +13,8 @@ from dualpg.analysis import (
     solve_third,
 )
 from dualpg.assembly import (
+    FifthOrderBC,
+    FifthOrderProblem,
     LiftPolynomial,
     ThirdOrderProblem,
     assemble_third,
@@ -179,6 +181,20 @@ class TestSolveDrivers:
         sol = solve_third(problem, 16)
         scale = max(1.0, float(np.max(np.abs(system.rhs))))
         assert residual_norm(system, sol.coefficients) <= 1e-10 * scale
+
+    def test_nonfinite_coefficient_rejected_before_solving(self):
+        with pytest.raises(ValueError, match="alpha1 must be finite"):
+            solve_third(ThirdOrderProblem(np.nan, 1.0, 1.0, rhs=np.cosh), 12)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: ThirdOrderProblem(1.0, np.inf, 1.0, rhs=np.cosh), "beta1"),
+        (lambda: FifthOrderProblem(1.0, 1.0, 1.0, 1.0, -np.inf, rhs=np.cosh), "mu2"),
+        (lambda: ThirdOrderBC(a1_plus=np.nan), "a1_plus"),
+        (lambda: FifthOrderBC(a2_plus=np.float32("nan")), "a2_plus"),
+    ])
+    def test_nonfinite_problem_data_names_field(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
 
     def test_zero_rhs_gives_zero_solution(self):
         problem = ThirdOrderProblem(0.0, 0.0, 0.0, rhs=lambda x: np.zeros_like(x))

@@ -20,12 +20,13 @@ from dualpg.assembly import (
     operator_entry_oracle,
     operator_matrix,
     operator_oracle_matrix,
+    rhs_projection,
     rhs_projection_fifth,
     rhs_projection_third,
     third_expansion,
 )
 from dualpg.gjp import dual_params
-from dualpg.jacobi import JacobiParams, eval_R, norm_h
+from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h
 
 unit_coeff = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -144,6 +145,12 @@ class TestRhsProjection:
 
         with pytest.raises(ValueError):
             rhs_projection_third(blows_up, 8)
+
+    @pytest.mark.parametrize("order,N", [(3, 24), (5, 24), (3, 256)])
+    def test_unresolved_rhs_stops_at_node_budget(self, order, N):
+        # a kink never settles; refinement must stop at the node budget
+        with pytest.raises(ConvergenceError, match="quadrature nodes"):
+            rhs_projection(order, np.abs, N)
 
 
 class TestLiftThird:

@@ -153,6 +153,14 @@ class TestSolve:
     def test_usage_error_wrong_example_order(self, capsys):
         assert main(["solve5", "--n", "12", "--example", "1"]) == 1
 
+    @pytest.mark.parametrize("argv,field", [
+        (["solve3", "--n", "12", "--rhs-poly", "1", "--coeffs", "nan,1,1"], "alpha1"),
+        (["solve3", "--n", "12", "--example", "1", "--coeffs", "inf,1,1"], "alpha1"),
+    ])
+    def test_usage_error_nonfinite_coefficient(self, capsys, argv, field):
+        assert main(argv) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert main(["tableX"]) == 1
 

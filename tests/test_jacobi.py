@@ -68,6 +68,13 @@ class TestEvalR:
         for xi, vi in zip(x, vals):
             assert eval_R(P23, 5, float(xi)) == vi
 
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
+    def test_rolling_rows_match_table_bitwise(self, params):
+        x = np.linspace(-1.0, 1.0, 41)
+        table = eval_R_table(params, 300, x)
+        for n in range(301):
+            assert np.array_equal(eval_R(params, n, x), table[n])
+
     def test_table_consistency(self):
         x = np.linspace(-0.9, 0.9, 5)
         table = eval_R_table(P32, 8, x)
@@ -179,13 +186,30 @@ class TestGaussJacobi:
         import dualpg.jacobi as jacobi
 
         params = JacobiParams(0.5, 1.5)
-        jacobi._RULE_LADDERS.pop((params.alpha, params.beta), None)
+        jacobi._RULES.pop((params.alpha, params.beta, 30), None)
         with ThreadPoolExecutor(max_workers=8) as pool:
             rules = list(pool.map(lambda _: gauss_jacobi_rule(params, 30), range(16)))
         reference = rules[0]
         assert reference.count == 30
         for rule in rules[1:]:
             assert rule is reference
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 40, 80, 200])
+    def test_legendre_matches_numpy_leggauss(self, count):
+        # independent oracle: numpy's Legendre-Gauss rule
+        nodes, weights = np.polynomial.legendre.leggauss(count)
+        rule = gauss_jacobi_rule(LEGENDRE, count)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
+        assert np.max(np.abs(rule.weights / weights - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("params", [P12, P23], ids=str)
+    def test_large_rule_nodes_are_roots(self, params):
+        count = 640
+        rule = gauss_jacobi_rule(params, count)
+        f = eval_R(params, count, rule.nodes)
+        df = eval_R_derivative(params, count, 1, rule.nodes)
+        assert np.max(np.abs(f / df)) <= 1e-15
+        assert rule.weights.sum() == pytest.approx(norm_h(params, 0), rel=1e-13)
 
 
 class TestOrthogonality:
