@@ -14,7 +14,9 @@ paper's notation.  One route, `assemble(problem, N)`, builds either from
 the problem's `OrderSpec`; the expansion tables it reads were confirmed
 entrywise against the quadrature oracle, and where the alternative
 tabulated entry formulas disagree with the oracle the verification report
-enumerates both values.
+enumerates both values.  `operator_matrix` evaluates each table once over
+all columns and fills the band one diagonal at a time, a few dozen array
+operations for any N.
 
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
@@ -120,7 +122,13 @@ class BandSystem:
 
 
 def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
-    """Assemble D1 (order 3) or D2 (order 5) directly into band storage."""
+    """Assemble D1 (order 3) or D2 (order 5) directly into band storage.
+
+    Each expansion table is evaluated once over all columns k = 0..dim-1,
+    and its offset-d coefficients (rows k + d) go into band row `band + d`
+    in one slice.  Weights are added in the spec's q order, so every entry
+    is summed in the same order as a column-by-column assembly would.
+    """
     spec = order_spec(order)
     if N < order:
         raise ValueError(f"order-{order} assembly needs N >= {order}, got {N}")
@@ -128,14 +136,14 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     weights = spec.weights(coefficients)
     band = min(spec.bandwidth, dim - 1)
     matrix = BandedMatrix(dim, band, band)
-    expansion = spec.expansion
-    for j in range(dim):
-        for q, w in weights.items():
-            if w == 0.0:
-                continue
-            for i, c in expansion(q, j).items():
-                if i < dim:
-                    matrix.add(i, j, w * c)
+    k = np.arange(dim)
+    for q, w in weights.items():
+        if w == 0.0:
+            continue
+        for d, c in spec.expansion_table(q, k).items():
+            lo, hi = max(0, -d), min(dim, dim - d)
+            if lo < hi:
+                matrix.data[band + d, lo:hi] += w * c[lo:hi]
     return matrix
 
 

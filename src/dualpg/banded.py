@@ -3,8 +3,12 @@
 Storage is diagonal-major: entry (i, j) with -p <= j - i <= q lives at
 data[q + i - j, j]; slots outside the matrix stay zero.  Elimination never
 fills outside the band, so L (unit lower, bandwidth p) and U (upper,
-bandwidth q) overwrite the same layout.  Every addition, subtraction,
-multiplication and division actually performed is counted.
+bandwidth q) overwrite the same layout.  The factorization and the
+substitutions run on that layout as Python lists of floats (one
+`tolist()` per factorization), which is several times faster than
+indexing numpy scalars and performs the same IEEE operations in the same
+order.  Every addition, subtraction, multiplication and division actually
+performed is counted, from the trip counts of the loops that perform them.
 """
 from __future__ import annotations
 
@@ -81,9 +85,6 @@ class BandedMatrix:
             raise IndexError(f"entry ({i}, {j}) outside band p={self.p}, q={self.q}")
         self.data[self.q + i - j, j] = value
 
-    def add(self, i: int, j: int, value: float) -> None:
-        self.set(i, j, self.get(i, j) + value)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x, accumulated diagonal by diagonal."""
         x = np.asarray(x, dtype=float)
@@ -110,89 +111,102 @@ class BandedMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(max(0, i - self.p), min(self.n, i + self.q + 1)):
-                out[i, j] = self.get(i, j)
+        for d in range(-self.p, self.q + 1):  # d = j - i, one slice per diagonal
+            i = np.arange(max(0, -d), min(self.n, self.n - d))
+            out[i, i + d] = self.data[self.q - d, i + d]
         return out
 
     def copy(self) -> "BandedMatrix":
         return BandedMatrix(self.n, self.p, self.q, self.data.copy())
 
 
+def _sweep_trips(n: int, w: int) -> int:
+    """sum_{i < n} min(w, i): inner-loop trips of one substitution sweep."""
+    m = min(w, n)
+    return m * (m - 1) // 2 + w * (n - m)
+
+
 @dataclass
 class BandedLU:
-    """In-band LU factors (L unit lower / U upper share one layout)."""
+    """In-band LU factors (L unit lower / U upper share one layout).
+
+    rows[q + i - j][j] holds entry (i, j) of L (i > j) or U (i <= j), as
+    Python floats.
+    """
 
     n: int
     p: int
     q: int
-    data: np.ndarray
+    rows: list[list[float]] = field(repr=False)
     ops: OpCount
 
     def _get(self, i: int, j: int) -> float:
-        return float(self.data[self.q + i - j, j])
+        return self.rows[self.q + i - j][j]
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, OpCount]:
         """Forward/back substitution; returns solution and its OpCount."""
         if len(rhs) != self.n:
             raise ValueError(f"rhs length {len(rhs)} != dimension {self.n}")
-        ops = OpCount()
-        x = np.asarray(rhs, dtype=float).copy()
-        n, p, q = self.n, self.p, self.q
+        n, p, q, rows = self.n, self.p, self.q, self.rows
+        x = np.asarray(rhs, dtype=float).tolist()
         for i in range(n):
+            xi = x[i]
             for j in range(max(0, i - p), i):
-                x[i] -= self._get(i, j) * x[j]
-                ops.multiplications += 1
-                ops.subtractions += 1
+                xi -= rows[q + i - j][j] * x[j]
+            x[i] = xi
+        diag = rows[q]
         for i in range(n - 1, -1, -1):
+            xi = x[i]
             for j in range(i + 1, min(n, i + q + 1)):
-                x[i] -= self._get(i, j) * x[j]
-                ops.multiplications += 1
-                ops.subtractions += 1
-            x[i] /= self._get(i, i)
-            ops.divisions += 1
-        return x, ops
+                xi -= rows[q + i - j][j] * x[j]
+            x[i] = xi / diag[i]
+        trips = _sweep_trips(n, p) + _sweep_trips(n, q)
+        ops = OpCount(subtractions=trips, multiplications=trips, divisions=n)
+        return np.array(x), ops
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A^T y = rhs through the same factors (A^T = U^T L^T)."""
         if len(rhs) != self.n:
             raise ValueError(f"rhs length {len(rhs)} != dimension {self.n}")
-        x = np.asarray(rhs, dtype=float).copy()
-        n, p, q = self.n, self.p, self.q
+        n, p, q, rows = self.n, self.p, self.q, self.rows
+        x = np.asarray(rhs, dtype=float).tolist()
+        diag = rows[q]
         for i in range(n):
+            xi = x[i]
             for j in range(max(0, i - q), i):
-                x[i] -= self._get(j, i) * x[j]
-            x[i] /= self._get(i, i)
+                xi -= rows[q + j - i][i] * x[j]
+            x[i] = xi / diag[i]
         for i in range(n - 1, -1, -1):
+            xi = x[i]
             for j in range(i + 1, min(n, i + p + 1)):
-                x[i] -= self._get(j, i) * x[j]
-        return x
+                xi -= rows[q + j - i][i] * x[j]
+            x[i] = xi
+        return np.array(x)
 
 
 def lu_factor_banded(matrix: BandedMatrix) -> BandedLU:
     """LU factorization without pivoting, confined to the band."""
     n, p, q = matrix.n, matrix.p, matrix.q
-    data = matrix.data.copy()
-    ops = OpCount()
-
-    def get(i: int, j: int) -> float:
-        return float(data[q + i - j, j])
-
+    rows = matrix.data.tolist()
+    diag = rows[q]
+    divisions = products = 0
     for k in range(n):
-        pivot = get(k, k)
+        pivot = diag[k]
         if abs(pivot) < PIVOT_FLOOR:
             raise SingularMatrixError(
                 f"vanishing pivot at row {k} (|{pivot:.3e}| < {PIVOT_FLOOR:g})"
             )
-        for i in range(k + 1, min(n, k + p + 1)):
-            mult = get(i, k) / pivot
-            ops.divisions += 1
-            data[q + i - k, k] = mult
-            for j in range(k + 1, min(n, k + q + 1)):
-                data[q + i - j, j] -= mult * get(k, j)
-                ops.multiplications += 1
-                ops.subtractions += 1
-    return BandedLU(n=n, p=p, q=q, data=data, ops=ops)
+        imax, jmax = min(n, k + p + 1), min(n, k + q + 1)
+        for i in range(k + 1, imax):
+            lower = rows[q + i - k]
+            mult = lower[k] / pivot
+            lower[k] = mult
+            for j in range(k + 1, jmax):
+                rows[q + i - j][j] -= mult * rows[q + k - j][j]
+        divisions += imax - k - 1
+        products += (imax - k - 1) * (jmax - k - 1)
+    ops = OpCount(subtractions=products, multiplications=products, divisions=divisions)
+    return BandedLU(n=n, p=p, q=q, rows=rows, ops=ops)
 
 
 def solve_diagonal(order: int, fstar: np.ndarray) -> np.ndarray:

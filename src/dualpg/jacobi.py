@@ -154,6 +154,13 @@ def norm_h(params: JacobiParams, n: int) -> float:
         for i in range(n + ib + 1, n + ia + ib + 1):
             val /= i
         return val
+    if 2 * n + lam <= 0.0:
+        # n = 0 and lam <= 0, where (2n + lam) Gamma(n + lam) = Gamma(lam + 1):
+        # h_0 = 2^lam Gamma(a+1) Gamma(b+1) / Gamma(lam+1), the weight's mass
+        return math.exp(
+            lam * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1)
+            - math.lgamma(lam + 1)
+        )
     return math.exp(
         lam * math.log(2.0)
         + math.lgamma(n + 1)
@@ -229,6 +236,16 @@ def _jacobi_matrix_nodes(params: JacobiParams, count: int) -> np.ndarray:
 
 
 def _build_rule(params: JacobiParams, count: int) -> QuadratureRule:
+    if count == 1:
+        # the root of R_1 carrying the whole mass h_0; the derivative
+        # formula's K_1 / K_0 ratio reads 0/0 at alpha + beta = -1
+        a, b = params.alpha, params.beta
+        return QuadratureRule(
+            params=params,
+            nodes=np.array([(b - a) / (a + b + 2.0)]),
+            weights=np.array([norm_h(params, 0)]),
+            count=1,
+        )
     x = _jacobi_matrix_nodes(params, count)
     # two unguarded Newton sweeps push the eigenvalues from the 1e-14 level
     # of the dense solver down to the evaluation noise floor of R_count; the

@@ -5,7 +5,8 @@ trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
 boundary-data and problem records, operator signs, closed-form derivative
-expansions, B1/B2 diagonal, monomial tables and closed-form lift.
+expansions (offset-keyed tables over an int or an array of columns k),
+B1/B2 diagonal, monomial tables and closed-form lift.
 `order_spec` is the one place that accepts or rejects an order.
 """
 from __future__ import annotations
@@ -135,107 +136,121 @@ def _b2_diagonal(k):
 
 # --- expansion coefficient tables -----------------------------------------
 #
-# third_expansion(q, j)[i] = coefficient of R_i^{(1,2)} in D^q phi_j, and
-# fifth_expansion(q, j)[i] = coefficient of R_i^{(2,3)} in D^q phi_j.
-# Pochhammer factors with nonpositive bases truncate the out-of-range terms.
+# _third_table(q, k)[d] = coefficient of R_{k+d}^{(1,2)} in D^q phi_k, and
+# _fifth_table(q, k)[d] = coefficient of R_{k+d}^{(2,3)} in D^q phi_k, for an
+# int k or an int array k (one coefficient per column).  Pochhammer factors
+# with nonpositive bases truncate the out-of-range terms.
 
-def third_expansion(q: int, j: int) -> dict[int, float]:
-    """R^{(1,2)}-expansion coefficients of D^q phi_j for the order-3 basis."""
-    k = j
+def _third_table(q: int, k):
+    """Offset-keyed R^{(1,2)}-expansion of D^q phi_k for the order-3 basis."""
     if q == 3:
-        terms = {k: _b1_diagonal(k)}
+        terms = {0: _b1_diagonal(k)}
     elif q == 2:
         terms = {
-            k + 1: 2.0 * pochhammer(k + 3, 2) / (2 * k + 5),
-            k: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            k - 1: -2.0 * pochhammer(k, 2) / (2 * k + 3),
+            1: 2.0 * pochhammer(k + 3, 2) / (2 * k + 5),
+            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
+            -1: -2.0 * pochhammer(k, 2) / (2 * k + 3),
         }
     elif q == 1:
         terms = {
-            k + 2: pochhammer(k + 3, 3) / (2.0 * (k + 2) * pochhammer(k + 2.5, 2)),
-            k + 1: -pochhammer(k + 3, 2) / pochhammer(k + 1.5, 3),
-            k: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            k - 1: pochhammer(k, 2) / pochhammer(k + 0.5, 3),
-            k - 2: pochhammer(k - 1, 3) / (2.0 * (k + 2) * pochhammer(k + 0.5, 2)),
+            2: pochhammer(k + 3, 3) / (2.0 * (k + 2) * pochhammer(k + 2.5, 2)),
+            1: -pochhammer(k + 3, 2) / pochhammer(k + 1.5, 3),
+            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
+            -1: pochhammer(k, 2) / pochhammer(k + 0.5, 3),
+            -2: pochhammer(k - 1, 3) / (2.0 * (k + 2) * pochhammer(k + 0.5, 2)),
         }
     elif q == 0:
         terms = {
-            k + 3: pochhammer(k + 4, 3) / (4.0 * (k + 2) * pochhammer(k + 2.5, 3)),
-            k + 2: -3.0 * pochhammer(k + 3, 3) / (4.0 * (k + 2) * pochhammer(k + 1.5, 4)),
-            k + 1: -3.0 * pochhammer(k + 3, 2) / (4.0 * pochhammer(k + 1.5, 3)),
-            k: 3.0 * (k + 1) * (k + 3) / (2.0 * pochhammer(k + 0.5, 4)),
-            k - 1: 3.0 * pochhammer(k, 2) / (4.0 * pochhammer(k + 0.5, 3)),
-            k - 2: -3.0 * pochhammer(k - 1, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 4)),
-            k - 3: -pochhammer(k - 2, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 3)),
+            3: pochhammer(k + 4, 3) / (4.0 * (k + 2) * pochhammer(k + 2.5, 3)),
+            2: -3.0 * pochhammer(k + 3, 3) / (4.0 * (k + 2) * pochhammer(k + 1.5, 4)),
+            1: -3.0 * pochhammer(k + 3, 2) / (4.0 * pochhammer(k + 1.5, 3)),
+            0: 3.0 * (k + 1) * (k + 3) / (2.0 * pochhammer(k + 0.5, 4)),
+            -1: 3.0 * pochhammer(k, 2) / (4.0 * pochhammer(k + 0.5, 3)),
+            -2: -3.0 * pochhammer(k - 1, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 4)),
+            -3: -pochhammer(k - 2, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 3)),
         }
     else:
         raise ValueError(f"third-order expansion defined for q in 0..3, got {q}")
-    return {i: c for i, c in terms.items() if i >= 0 and c != 0.0}
+    return terms
+
+
+def _fifth_table(q: int, k):
+    """Offset-keyed R^{(2,3)}-expansion of D^q phi_k for the order-5 basis."""
+    if q == 5:
+        terms = {0: -_b2_diagonal(k)}
+    elif q == 4:
+        terms = {
+            1: -3.0 * (k + 2) * pochhammer(k + 4, 3) / (2 * k + 7),
+            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (2.0 * pochhammer(k + 2.5, 2)),
+            -1: 3.0 * pochhammer(k, 3) * (k + 4) / (2 * k + 5),
+        }
+    elif q == 3:
+        terms = {
+            2: -3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 3.5, 2)),
+            1: 3.0 * (k + 2) * pochhammer(k + 4, 3) / (2.0 * pochhammer(k + 2.5, 3)),
+            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (2.0 * pochhammer(k + 2.5, 2)),
+            -1: -3.0 * pochhammer(k, 3) * (k + 4) / (2.0 * pochhammer(k + 1.5, 3)),
+            -2: -3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 1.5, 2)),
+        }
+    elif q == 2:
+        terms = {
+            3: -3.0 * pochhammer(k + 4, 5) / (8.0 * (k + 3) * pochhammer(k + 3.5, 3)),
+            2: 9.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 2.5, 4)),
+            1: 9.0 * (k + 2) * pochhammer(k + 4, 3) / (8.0 * pochhammer(k + 2.5, 3)),
+            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (4.0 * pochhammer(k + 1.5, 4)),
+            -1: -9.0 * pochhammer(k, 3) * (k + 4) / (8.0 * pochhammer(k + 1.5, 3)),
+            -2: 9.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k + 0.5, 4)),
+            -3: 3.0 * pochhammer(k - 2, 5) / (8.0 * (k + 3) * pochhammer(k + 0.5, 3)),
+        }
+    elif q == 1:
+        terms = {
+            4: -3.0 * pochhammer(k + 5, 5) / (16.0 * (k + 3) * pochhammer(k + 3.5, 4)),
+            3: 3.0 * pochhammer(k + 4, 5) / (4.0 * (k + 3) * pochhammer(k + 2.5, 5)),
+            2: 3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 2.5, 4)),
+            1: -9.0 * (k + 2) * pochhammer(k + 4, 3) / (4.0 * pochhammer(k + 1.5, 5)),
+            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (8.0 * pochhammer(k + 1.5, 4)),
+            -1: 9.0 * pochhammer(k, 3) * (k + 4) / (4.0 * pochhammer(k + 0.5, 5)),
+            -2: 3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 0.5, 4)),
+            -3: -3.0 * pochhammer(k - 2, 5) / (4.0 * (k + 3) * pochhammer(k - 0.5, 5)),
+            -4: -3.0 * pochhammer(k - 3, 5) / (16.0 * (k + 3) * pochhammer(k - 0.5, 4)),
+        }
+    elif q == 0:
+        terms = {
+            5: -3.0 * pochhammer(k + 6, 5) / (32.0 * (k + 3) * pochhammer(k + 3.5, 5)),
+            4: 15.0 * pochhammer(k + 5, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 6)),
+            3: 15.0 * pochhammer(k + 4, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 5)),
+            2: -15.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 1.5, 6)),
+            1: -15.0 * (k + 2) * pochhammer(k + 4, 3) / (16.0 * pochhammer(k + 1.5, 5)),
+            0: 45.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (16.0 * pochhammer(k + 0.5, 6)),
+            -1: 15.0 * pochhammer(k, 3) * (k + 4) / (16.0 * pochhammer(k + 0.5, 5)),
+            -2: -15.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k - 0.5, 6)),
+            -3: -15.0 * pochhammer(k - 2, 5) / (32.0 * (k + 3) * pochhammer(k - 0.5, 5)),
+            -4: 15.0 * pochhammer(k - 3, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 6)),
+            -5: 3.0 * pochhammer(k - 4, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 5)),
+        }
+    else:
+        raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
+    return terms
+
+
+def _by_row(table, q: int, j: int) -> dict[int, float]:
+    """Scalar view of a table: {row index: coefficient} of column j, nonzeros only."""
+    return {j + d: c for d, c in table(q, j).items() if j + d >= 0 and c != 0.0}
+
+
+def third_expansion(q: int, j: int) -> dict[int, float]:
+    """R^{(1,2)}-expansion coefficients of D^q phi_j for the order-3 basis."""
+    return _by_row(_third_table, q, j)
 
 
 def fifth_expansion(q: int, j: int) -> dict[int, float]:
     """R^{(2,3)}-expansion coefficients of D^q phi_j for the order-5 basis."""
-    k = j
-    if q == 5:
-        terms = {k: -_b2_diagonal(k)}
-    elif q == 4:
-        terms = {
-            k + 1: -3.0 * (k + 2) * pochhammer(k + 4, 3) / (2 * k + 7),
-            k: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            k - 1: 3.0 * pochhammer(k, 3) * (k + 4) / (2 * k + 5),
-        }
-    elif q == 3:
-        terms = {
-            k + 2: -3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 3.5, 2)),
-            k + 1: 3.0 * (k + 2) * pochhammer(k + 4, 3) / (2.0 * pochhammer(k + 2.5, 3)),
-            k: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            k - 1: -3.0 * pochhammer(k, 3) * (k + 4) / (2.0 * pochhammer(k + 1.5, 3)),
-            k - 2: -3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 1.5, 2)),
-        }
-    elif q == 2:
-        terms = {
-            k + 3: -3.0 * pochhammer(k + 4, 5) / (8.0 * (k + 3) * pochhammer(k + 3.5, 3)),
-            k + 2: 9.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 2.5, 4)),
-            k + 1: 9.0 * (k + 2) * pochhammer(k + 4, 3) / (8.0 * pochhammer(k + 2.5, 3)),
-            k: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (4.0 * pochhammer(k + 1.5, 4)),
-            k - 1: -9.0 * pochhammer(k, 3) * (k + 4) / (8.0 * pochhammer(k + 1.5, 3)),
-            k - 2: 9.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k + 0.5, 4)),
-            k - 3: 3.0 * pochhammer(k - 2, 5) / (8.0 * (k + 3) * pochhammer(k + 0.5, 3)),
-        }
-    elif q == 1:
-        terms = {
-            k + 4: -3.0 * pochhammer(k + 5, 5) / (16.0 * (k + 3) * pochhammer(k + 3.5, 4)),
-            k + 3: 3.0 * pochhammer(k + 4, 5) / (4.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            k + 2: 3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 2.5, 4)),
-            k + 1: -9.0 * (k + 2) * pochhammer(k + 4, 3) / (4.0 * pochhammer(k + 1.5, 5)),
-            k: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (8.0 * pochhammer(k + 1.5, 4)),
-            k - 1: 9.0 * pochhammer(k, 3) * (k + 4) / (4.0 * pochhammer(k + 0.5, 5)),
-            k - 2: 3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 0.5, 4)),
-            k - 3: -3.0 * pochhammer(k - 2, 5) / (4.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            k - 4: -3.0 * pochhammer(k - 3, 5) / (16.0 * (k + 3) * pochhammer(k - 0.5, 4)),
-        }
-    elif q == 0:
-        terms = {
-            k + 5: -3.0 * pochhammer(k + 6, 5) / (32.0 * (k + 3) * pochhammer(k + 3.5, 5)),
-            k + 4: 15.0 * pochhammer(k + 5, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 6)),
-            k + 3: 15.0 * pochhammer(k + 4, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            k + 2: -15.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 1.5, 6)),
-            k + 1: -15.0 * (k + 2) * pochhammer(k + 4, 3) / (16.0 * pochhammer(k + 1.5, 5)),
-            k: 45.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (16.0 * pochhammer(k + 0.5, 6)),
-            k - 1: 15.0 * pochhammer(k, 3) * (k + 4) / (16.0 * pochhammer(k + 0.5, 5)),
-            k - 2: -15.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k - 0.5, 6)),
-            k - 3: -15.0 * pochhammer(k - 2, 5) / (32.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            k - 4: 15.0 * pochhammer(k - 3, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 6)),
-            k - 5: 3.0 * pochhammer(k - 4, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 5)),
-        }
-    else:
-        raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
-    return {i: c for i, c in terms.items() if i >= 0 and c != 0.0}
+    return _by_row(_fifth_table, q, j)
 
 
 def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
@@ -271,7 +286,7 @@ class OrderSpec:
     bc: type  # boundary-data record, fields in `boundary_points` order
     problem: type  # problem record, operator coefficients first
     signs: dict[int, float]  # sign of D^q in the operator, q = order .. 0
-    expansion: Callable[[int, int], dict[int, float]]  # of D^q phi_j, test family
+    expansion_table: Callable  # (q, k) -> {offset: coefficient} of D^q phi_k, test family
     diagonal: Callable  # diagonal of B = +-D^order in the test family
     mono_to_test: tuple[tuple[float, ...], ...]  # x^d = sum_i [d][i] R_i, test family
     lift: Callable  # closed-form lift coefficients of a `bc` record
@@ -310,7 +325,7 @@ SPECS: dict[int, OrderSpec] = {
         bc=ThirdOrderBC,
         problem=ThirdOrderProblem,
         signs={3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion=third_expansion,
+        expansion_table=_third_table,
         diagonal=_b1_diagonal,
         mono_to_test=(
             (1.0,),
@@ -324,7 +339,7 @@ SPECS: dict[int, OrderSpec] = {
         bc=FifthOrderBC,
         problem=FifthOrderProblem,
         signs={5: -1.0, 4: 1.0, 3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion=fifth_expansion,
+        expansion_table=_fifth_table,
         diagonal=_b2_diagonal,
         mono_to_test=(
             (1.0,),

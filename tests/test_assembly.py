@@ -27,6 +27,7 @@ from dualpg.assembly import (
 )
 from dualpg.gjp import dual_params
 from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h
+from dualpg.orders import order_spec
 
 unit_coeff = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -69,6 +70,58 @@ class TestOperatorMatrix:
             assert all(i >= 0 for i in third_expansion(q, 0))
         for q in range(6):
             assert all(i >= 0 for i in fifth_expansion(q, 0))
+
+
+SCALAR_EXPANSION = {3: third_expansion, 5: fifth_expansion}
+# coefficient sets per order, zeros included: a zero weight skips its table
+BITWISE_COEFFS = {
+    3: ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.0), (-3.7, 0.0, 2.9),
+        (2.0, 3.0, 4.0)),
+    5: ((1.0,) * 5, (0.0,) * 5, (0.0, 1.0, 2.0, 3.0, 4.0),
+        (1.3, -2.6, 0.0, 3.9, -0.4), (2.0, 3.0, 4.0, 5.0, 6.0)),
+}
+
+
+def reference_operator_data(order, coefficients, N):
+    """Band data assembled entry by entry from the scalar expansion view."""
+    spec = order_spec(order)
+    dim = spec.dimension(N)
+    band = min(spec.bandwidth, dim - 1)
+    data = np.zeros((2 * band + 1, dim))
+    for j in range(dim):
+        for q, w in spec.weights(coefficients).items():
+            if w == 0.0:
+                continue
+            for i, c in SCALAR_EXPANSION[order](q, j).items():
+                if i < dim:
+                    data[band + i - j, j] = float(data[band + i - j, j]) + w * c
+    return data
+
+
+class TestVectorisedAssembly:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_array_table_matches_scalar_view(self, order):
+        spec = order_spec(order)
+        k = np.arange(301)
+        for q in range(order + 1):
+            table = spec.expansion_table(q, k)
+            for j in range(k.size):
+                from_table = {
+                    j + d: float(c[j]) for d, c in table.items()
+                    if j + d >= 0 and c[j] != 0.0
+                }
+                scalar = SCALAR_EXPANSION[order](q, j)
+                assert list(from_table) == list(scalar), (q, j)
+                for i, c in scalar.items():
+                    assert np.float64(c).tobytes() == np.float64(from_table[i]).tobytes()
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 24, 256])
+    def test_matches_entry_by_entry_assembly_bitwise(self, order, N):
+        for coefficients in BITWISE_COEFFS[order]:
+            matrix = operator_matrix(order, coefficients, N)
+            expect = reference_operator_data(order, coefficients, N)
+            assert np.array_equal(matrix.data.view(np.int64), expect.view(np.int64))
 
 
 class TestOperatorOracle:

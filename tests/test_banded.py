@@ -1,4 +1,9 @@
 """Band storage, LU without pivoting, operation counts, diagonal fast paths."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,41 @@ def random_band(n, p, q, rng, dominance=0.0):
             m.set(i, j, rng.uniform(-1, 1))
         m.set(i, i, m.get(i, i) + dominance)
     return m
+
+
+def reference_factor(matrix):
+    """Band LU on numpy scalars, one entry at a time, in the kernel's order."""
+    n, p, q = matrix.n, matrix.p, matrix.q
+    data = matrix.data.copy()
+    for k in range(n):
+        for i in range(k + 1, min(n, k + p + 1)):
+            data[q + i - k, k] = data[q + i - k, k] / data[q, k]
+            for j in range(k + 1, min(n, k + q + 1)):
+                data[q + i - j, j] -= data[q + i - k, k] * data[q + k - j, j]
+    return data
+
+
+def reference_solves(data, p, q, rhs):
+    """A x = rhs and A^T y = rhs from reference factors, entry by entry."""
+    n = rhs.size
+    x, y = rhs.copy(), rhs.copy()
+    for i in range(n):
+        for j in range(max(0, i - p), i):
+            x[i] -= data[q + i - j, j] * x[j]
+        for j in range(max(0, i - q), i):
+            y[i] -= data[q + j - i, i] * y[j]
+        y[i] /= data[q, i]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, min(n, i + q + 1)):
+            x[i] -= data[q + i - j, j] * x[j]
+        x[i] /= data[q, i]
+        for j in range(i + 1, min(n, i + p + 1)):
+            y[i] -= data[q + j - i, i] * y[j]
+    return x, y
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 class TestBandedMatrix:
@@ -87,6 +127,20 @@ class TestLU:
                     U[i, j] = fac._get(i, j)
             assert np.max(np.abs(L @ U - m.to_dense())) < 1e-12 * (p + q + 2)
 
+    @pytest.mark.parametrize("n, p, q", [(1, 0, 0), (7, 6, 6), (9, 2, 2),
+                                         (21, 3, 1), (40, 5, 5), (33, 1, 4)])
+    def test_bitwise_equal_to_entrywise_reference(self, n, p, q):
+        rng = np.random.default_rng(n + 10 * p + 100 * q)
+        m = random_band(n, p, q, rng, dominance=p + q + 2.0)
+        fac = lu_factor_banded(m)
+        data = reference_factor(m)
+        assert same_bits(np.array(fac.rows), data)
+        rhs = rng.uniform(-1, 1, n)
+        x, y = reference_solves(data, p, q, rhs)
+        assert same_bits(fac.solve(rhs)[0], x)
+        assert same_bits(fac.solve_transpose(rhs), y)
+        assert same_bits(m.to_dense(), [[m.get(i, j) for j in range(n)] for i in range(n)])
+
     def test_solution_matches_dense_oracle(self):
         # oracle: dense Gaussian elimination via numpy on the same system
         rng = np.random.default_rng(11)
@@ -147,6 +201,39 @@ class TestOperationCounts:
             per_row.append(fac.ops.total / n)
         assert max(per_row) <= 21.0
         assert max(per_row) / min(per_row) < 1.5
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 17])
+    def test_counts_are_closed_form_trip_sums(self, n):
+        # every (p, q) with p, q < n, so n <= p + 1 is covered at p = n - 1
+        rng = np.random.default_rng(n)
+        for p in range(n):
+            for q in range(n):
+                fac = lu_factor_banded(random_band(n, p, q, rng, dominance=p + q + 2.0))
+                below = [min(p, n - 1 - k) for k in range(n)]
+                right = [min(q, n - 1 - k) for k in range(n)]
+                products = sum(r * c for r, c in zip(below, right))
+                assert (fac.ops.additions, fac.ops.subtractions,
+                        fac.ops.multiplications, fac.ops.divisions) == (
+                    0, products, products, sum(below))
+                _, ops = fac.solve(np.ones(n))
+                sweeps = sum(min(p, i) for i in range(n)) + sum(right)
+                assert (ops.additions, ops.subtractions,
+                        ops.multiplications, ops.divisions) == (0, sweeps, sweeps, n)
+
+    def test_opcount_study_script_within_ceilings(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "opcount_study.py"),
+             "--sizes", "16", "64"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        for order, N, n, factor, factor_cap, solve, solve_cap, _ in rows:
+            assert int(factor) <= int(factor_cap), (order, N)
+            assert int(solve) <= int(solve_cap), (order, N)
 
 
 class TestDiagonalFastPaths:

@@ -211,16 +211,16 @@ class TestVerifyCommand:
         assert "printed=" in detail and "oracle=" in detail
 
     def test_mutated_assembly_fails_naming_entry(self, monkeypatch):
-        original = assembly.third_expansion
+        original = order_spec(3).expansion_table
 
-        def flipped(q, j):
-            out = original(q, j)
-            if q == 0 and j in out:
+        def flipped(q, k):
+            out = original(q, k)
+            if q == 0:
                 out = dict(out)
-                out[j] = -out[j]  # sign flip on the E0 diagonal
+                out[0] = -out[0]  # sign flip on the E0 diagonal
             return out
 
-        monkeypatch.setattr(order_spec(3), "expansion", flipped)
+        monkeypatch.setattr(order_spec(3), "expansion_table", flipped)
         result = suite_oracle_equivalence_third()
         assert not result.passed
         match = re.search(r"worst entry \((\d+), (\d+)\)", result.detail)

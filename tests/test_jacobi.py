@@ -143,6 +143,12 @@ class TestGaussJacobi:
         assert rule.nodes[0] == pytest.approx(0.0, abs=1e-15)
         assert rule.weights[0] == pytest.approx(2.0, rel=1e-14)
 
+    def test_chebyshev_one_node_rule(self):
+        # the derivative formula's K_1 / K_0 ratio is 0/0 at alpha + beta = -1
+        rule = gauss_jacobi_rule(JacobiParams(-0.5, -0.5), 1)
+        assert rule.nodes[0] == 0.0
+        assert rule.weights[0] == pytest.approx(np.pi, rel=1e-14)
+
     def test_cubic_moment(self):
         # oracle: int (1-x)(1+x)^2 x^3 dx = 4/35 by the antiderivative
         rule = gauss_jacobi_rule(P12, 20)
