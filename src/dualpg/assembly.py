@@ -127,13 +127,17 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     Each expansion table is evaluated once over all columns k = 0..dim-1,
     and its offset-d coefficients (rows k + d) go into band row `band + d`
     in one slice.  Weights are added in the spec's q order, so every entry
-    is summed in the same order as a column-by-column assembly would.
+    is summed in the same order as a column-by-column assembly would.  A
+    NaN or infinite coefficient raises ValueError naming its index.
     """
     spec = order_spec(order)
     if N < order:
         raise ValueError(f"order-{order} assembly needs N >= {order}, got {N}")
     dim = spec.dimension(N)
     weights = spec.weights(coefficients)
+    for i, c in enumerate(coefficients):
+        if not math.isfinite(c):
+            raise ValueError(f"operator coefficient {i} must be finite, got {c}")
     band = min(spec.bandwidth, dim - 1)
     matrix = BandedMatrix(dim, band, band)
     k = np.arange(dim)

@@ -36,7 +36,7 @@ PIVOT_FLOOR = 1e-300
 
 
 class SingularMatrixError(ArithmeticError):
-    """Elimination hit a vanishing pivot (leading principal minor ~ 0)."""
+    """Elimination hit a vanishing or NaN pivot (leading principal minor ~ 0)."""
 
 
 @dataclass
@@ -192,9 +192,10 @@ def lu_factor_banded(matrix: BandedMatrix) -> BandedLU:
     divisions = products = 0
     for k in range(n):
         pivot = diag[k]
-        if abs(pivot) < PIVOT_FLOOR:
+        if not abs(pivot) >= PIVOT_FLOOR:  # also catches NaN
             raise SingularMatrixError(
-                f"vanishing pivot at row {k} (|{pivot:.3e}| < {PIVOT_FLOOR:g})"
+                f"unusable pivot at row {k} ({pivot:.3e}, need |pivot| >= "
+                f"{PIVOT_FLOOR:g})"
             )
         imax, jmax = min(n, k + p + 1), min(n, k + q + 1)
         for i in range(k + 1, imax):

@@ -4,6 +4,7 @@ import pytest
 
 from dualpg.analysis import (
     SpectralSolution,
+    _dominant_eigenvalue,
     condition_diagonal,
     condition_full,
     evaluate_solution,
@@ -22,9 +23,9 @@ from dualpg.assembly import (
     operator_matrix,
     ThirdOrderBC,
 )
+from dualpg.banded import BandedLU, BandedMatrix
 from dualpg.families import make_family
 from dualpg.gjp import eval_phi
-from dualpg.jacobi import ConvergenceError
 
 
 def zero_lift(order):
@@ -97,16 +98,77 @@ class TestConditionFull:
         sig = np.linalg.svd(dense, compute_uv=False)
         assert rep.cond == pytest.approx(sig[0] / sig[-1], rel=1e-8)
 
-    @pytest.mark.xfail(
-        raises=ConvergenceError, strict=True,
-        reason="D has a complex dominant eigenpair, so the eig_max power "
-               "iteration never converges (cond itself is 46.48)",
-    )
     def test_complex_dominant_eigenpair(self):
+        # D's dominant eigenvalues are the pair 403.2 +- 43.2i (cond 46.48);
+        # eig_max reports the real part of the eigenvalue of largest modulus
         coeffs = (3.81, 1.42, 1.84)
         rep = condition_full(3, 16, coeffs)
         dense = operator_matrix(3, coeffs, 16).to_dense()
         assert rep.cond == pytest.approx(np.linalg.cond(dense), rel=1e-8)
+        eigs = np.linalg.eigvals(dense)
+        dominant = eigs[np.argmax(np.abs(eigs))]
+        assert abs(dominant.imag) > 40.0
+        assert rep.eig_max == pytest.approx(dominant.real, rel=1e-8)
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("draw", ["ones", "seeded"])
+    def test_large_n_extremes_match_dense(self, order, N, draw):
+        if draw == "ones":
+            coeffs = (1.0,) * order
+        else:
+            rng = np.random.default_rng(1000 * order + N)
+            coeffs = tuple(rng.uniform(-4.0, 4.0, order))
+        rep = condition_full(order, N, coeffs)
+        dense = operator_matrix(order, coeffs, N).to_dense()
+        sigmas = np.linalg.svd(dense, compute_uv=False)
+        eigs = np.linalg.eigvals(dense)
+        eigs = eigs[np.argsort(np.abs(eigs))]
+        assert rep.sigma_max == pytest.approx(sigmas[0], rel=1e-8)
+        assert rep.sigma_min == pytest.approx(sigmas[-1], rel=1e-8)
+        assert rep.eig_max == pytest.approx(eigs[-1].real, rel=1e-8)
+        assert rep.eig_min == pytest.approx(eigs[0].real, rel=1e-8)
+
+    def test_operator_applications_bounded_at_large_n(self, monkeypatch):
+        # each extreme applies its operator once per Krylov step; count the
+        # band kernels it runs on (D^T D: matvec + rmatvec, (D^T D)^-1:
+        # solve_transpose + solve, D: matvec, D^-1: solve)
+        calls = {}
+
+        def counted(name, method):
+            def wrapper(self, v):
+                calls[name] = calls.get(name, 0) + 1
+                return method(self, v)
+            return wrapper
+
+        for cls, name in ((BandedMatrix, "matvec"), (BandedMatrix, "rmatvec"),
+                          (BandedLU, "solve"), (BandedLU, "solve_transpose")):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        rep = condition_full(3, 1024, (2.0, 3.0, 4.0))
+        per_extreme = {
+            "sigma_max": calls["rmatvec"],
+            "sigma_min": calls["solve_transpose"],
+            "eig_max": calls["matvec"] - calls["rmatvec"],
+            "eig_min": calls["solve"] - calls["solve_transpose"],
+        }
+        assert all(0 < count <= 256 for count in per_extreme.values()), per_extreme
+        assert rep.cond == pytest.approx(181395, rel=1e-5)
+
+    def test_krylov_routine_on_small_operators(self):
+        # zero operator: breakdown at step 1 (beta = 0) is exact
+        assert _dominant_eigenvalue(lambda v: 0.0 * v, 10) == 0.0
+        # rotation: a complex pair; m = n ends the iteration exactly
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        theta = _dominant_eigenvalue(lambda v: rotation @ v, 2)
+        assert abs(theta.imag) == pytest.approx(1.0, rel=1e-14)
+        assert abs(theta.real) < 1e-14
+        # the dominant eigenvalue keeps its sign
+        diag = np.array([1.0, -5.0, 2.0])
+        assert _dominant_eigenvalue(lambda v: diag * v, 3) == pytest.approx(-5.0)
+
+    def test_nonfinite_coefficient_named(self):
+        with pytest.raises(ValueError, match="coefficient 0 must be finite"):
+            condition_full(3, 16, (np.nan, 1.0, 1.0))
 
 
 class TestEvaluateSolution:

@@ -65,6 +65,15 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             operator_matrix(5, (0.0,) * 5, 4)
 
+    @pytest.mark.parametrize("order,coeffs,index", [
+        (3, (np.nan, 1.0, 1.0), 0),
+        (3, (1.0, 1.0, np.inf), 2),
+        (5, (1.0, 1.0, 1.0, -np.inf, 1.0), 3),
+    ])
+    def test_nonfinite_coefficient_names_index(self, order, coeffs, index):
+        with pytest.raises(ValueError, match=f"coefficient {index} must be finite"):
+            operator_matrix(order, coeffs, 16)
+
     def test_expansion_tables_self_truncate(self):
         for q in range(4):
             assert all(i >= 0 for i in third_expansion(q, 0))

@@ -165,6 +165,22 @@ class TestLU:
         with pytest.raises(SingularMatrixError, match="row 2"):
             lu_factor_banded(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1e-301])
+    def test_nan_or_vanishing_pivot_rejected(self, bad):
+        m = BandedMatrix(4, 1, 1)
+        for i in range(4):
+            m.set(i, i, 1.0)
+        m.set(1, 1, bad)
+        with pytest.raises(SingularMatrixError, match="row 1"):
+            lu_factor_banded(m)
+
+    def test_pivot_at_floor_accepted(self):
+        m = BandedMatrix(3, 1, 1)
+        for i in range(3):
+            m.set(i, i, 1e-300)
+        x, _ = lu_factor_banded(m).solve(np.full(3, 1e-300))
+        assert np.array_equal(x, np.ones(3))
+
     def test_rhs_length_checked(self):
         m = BandedMatrix(4, 1, 1)
         for i in range(4):

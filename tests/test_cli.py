@@ -123,6 +123,14 @@ class TestSolve:
         assert float(records["max_error"][0][2]) < 1e-5
         assert any(r[1] == "cond" for r in records["condition"])
 
+    def test_solve3_large_n_condition(self, tmp_path):
+        out = tmp_path / "sol.csv"
+        code = main(["solve3", "--n", "1024", "--rhs-poly", "1",
+                     "--coeffs", "2,3,4", "--out", str(out)])
+        assert code == 0
+        cells = {r[1]: r[2] for r in read_csv(out)[1:] if r[0] == "condition"}
+        assert cells["cond"] == "181395"
+
     def test_solve3_polynomial_rhs(self, tmp_path):
         out = tmp_path / "sol.csv"
         code = main([
