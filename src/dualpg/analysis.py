@@ -13,7 +13,10 @@ applied through the band storage and the band LU of D: D^T D, its
 inverse (transpose solves reuse the same factors), D and D^-1.  Each comes
 from a Krylov method, Lanczos for the two symmetric operators and Arnoldi
 with full reorthogonalization for the others, stopped once the Ritz
-residual beta_m |y_m| is at most 1e-14 of the Ritz value.  At m = n steps
+residual beta_m |y_m| is at most 1e-14 of the Ritz value.  The residual is
+checked every 6 steps up to m = 48 and every m // 8 steps after that, so
+the O(m^3) eigensolves of the Hessenberg matrix stay a small share of a
+large-N report while small reports stop at the same step.  At m = n steps
 the Krylov space is the whole space and the Ritz value is exact, so the
 iteration ends for every input; a complex dominant pair is no obstacle.
 """
@@ -52,7 +55,8 @@ __all__ = [
 
 ERROR_GRID_POINTS = 1001
 # Krylov extremes: Ritz residual tolerance, relative to the Ritz value, and
-# the number of steps between convergence checks
+# the least number of steps between convergence checks (max(6, m // 8)
+# after a check at step m)
 KRYLOV_TOL = 1e-14
 KRYLOV_CHECK = 6
 
@@ -187,14 +191,19 @@ def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
     Arnoldi with full reorthogonalization (two classical Gram-Schmidt
     passes) from a fixed start vector; for a symmetric operator the
     Hessenberg matrix is the Lanczos tridiagonal and its Ritz values come
-    from `eigh`.  Every KRYLOV_CHECK steps the Ritz value theta of largest
-    modulus is accepted once its residual beta_m |y_m| is at most
-    KRYLOV_TOL |theta|.  At m = n the Krylov space is all of R^n, so the
-    Ritz values are the eigenvalues and the answer is exact up to rounding;
-    no step cap is needed.  The basis grows with the step count.
+    from `eigh`.  At the checks, KRYLOV_CHECK steps apart and then
+    max(KRYLOV_CHECK, m // 8) steps after a check at step m, the Ritz value
+    theta of largest modulus is accepted once its residual beta_m |y_m| is
+    at most KRYLOV_TOL |theta|.  Each check solves the whole m x m
+    Hessenberg eigenproblem, so the growing interval keeps their O(m^3)
+    cost from dominating large-n runs.  At m = n the Krylov space is all
+    of R^n, so the Ritz values are the eigenvalues and the answer is exact
+    up to rounding; no step cap is needed.  The basis grows with the step
+    count.
     """
     basis = _start_vector(n)[None, :]  # rows: orthonormal Krylov vectors
     hess = np.zeros((1, 0))
+    check = KRYLOV_CHECK
     for m in range(1, n + 1):
         if hess.shape[1] < m:  # double the capacity, never past n steps
             cap = min(n, 2 * m)
@@ -209,7 +218,8 @@ def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
         beta = float(np.linalg.norm(w))
         hess[:m, m - 1] = h + again
         hess[m, m - 1] = beta
-        if m == n or beta == 0.0 or m % KRYLOV_CHECK == 0:
+        if m == n or beta == 0.0 or m == check:
+            check = m + max(KRYLOV_CHECK, m // 8)
             if symmetric:
                 ritz, vectors = np.linalg.eigh(hess[:m, :m])
             else:

@@ -32,6 +32,37 @@ def zero_lift(order):
     return LiftPolynomial(order=order, coefficients=(0.0,) * (3 if order == 3 else 5))
 
 
+# each Krylov step applies its operator once; these are the band kernels
+# the four extremes run on (D^T D: matvec + rmatvec, (D^T D)^-1:
+# solve_transpose + solve, D: matvec, D^-1: solve)
+APPLICATIONS = ((BandedMatrix, "matvec"), (BandedMatrix, "rmatvec"),
+                (BandedLU, "solve"), (BandedLU, "solve_transpose"))
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls to each (owner, name) in the returned dict, by name."""
+    calls = {}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args)
+        return wrapper
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
+def applications_per_extreme(calls):
+    return {
+        "sigma_max": calls["rmatvec"],
+        "sigma_min": calls["solve_transpose"],
+        "eig_max": calls["matvec"] - calls["rmatvec"],
+        "eig_min": calls["solve"] - calls["solve_transpose"],
+    }
+
+
 class TestConditionDiagonal:
     def test_third_order_reference_row(self):
         rep = condition_diagonal(3, 16)
@@ -130,28 +161,25 @@ class TestConditionFull:
         assert rep.eig_min == pytest.approx(eigs[0].real, rel=1e-8)
 
     def test_operator_applications_bounded_at_large_n(self, monkeypatch):
-        # each extreme applies its operator once per Krylov step; count the
-        # band kernels it runs on (D^T D: matvec + rmatvec, (D^T D)^-1:
-        # solve_transpose + solve, D: matvec, D^-1: solve)
-        calls = {}
-
-        def counted(name, method):
-            def wrapper(self, v):
-                calls[name] = calls.get(name, 0) + 1
-                return method(self, v)
-            return wrapper
-
-        for cls, name in ((BandedMatrix, "matvec"), (BandedMatrix, "rmatvec"),
-                          (BandedLU, "solve"), (BandedLU, "solve_transpose")):
-            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        calls = count_calls(monkeypatch, APPLICATIONS)
         rep = condition_full(3, 1024, (2.0, 3.0, 4.0))
-        per_extreme = {
-            "sigma_max": calls["rmatvec"],
-            "sigma_min": calls["solve_transpose"],
-            "eig_max": calls["matvec"] - calls["rmatvec"],
-            "eig_min": calls["solve"] - calls["solve_transpose"],
-        }
+        per_extreme = applications_per_extreme(calls)
         assert all(0 < count <= 256 for count in per_extreme.values()), per_extreme
+        assert rep.cond == pytest.approx(181395, rel=1e-5)
+
+    def test_check_interval_grows_with_steps(self, monkeypatch):
+        # Ritz values are checked every KRYLOV_CHECK steps up to m = 48, so
+        # the N = 40 step counts are those of a fixed 6-step interval; past
+        # that the interval grows as m // 8, and N = 1024 solves fewer
+        # Hessenberg eigenproblems than the 33 eig / 24 eigh of a fixed one
+        calls = count_calls(monkeypatch, APPLICATIONS + ((np.linalg, "eig"),
+                                                         (np.linalg, "eigh")))
+        condition_full(3, 40, (2.0, 3.0, 4.0))
+        assert applications_per_extreme(calls) == {
+            "sigma_max": 24, "sigma_min": 12, "eig_max": 36, "eig_min": 18}
+        calls.clear()
+        rep = condition_full(3, 1024, (2.0, 3.0, 4.0))
+        assert calls["eig"] < 33 and calls["eigh"] < 24, calls
         assert rep.cond == pytest.approx(181395, rel=1e-5)
 
     def test_krylov_routine_on_small_operators(self):

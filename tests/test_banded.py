@@ -1,5 +1,6 @@
 """Band storage, LU without pivoting, operation counts, diagonal fast paths."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpg import banded
 from dualpg.banded import (
     BandedMatrix,
     SingularMatrixError,
@@ -141,6 +143,36 @@ class TestLU:
         assert same_bits(fac.solve_transpose(rhs), y)
         assert same_bits(m.to_dense(), [[m.get(i, j) for j in range(n)] for i in range(n)])
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_kernels_bitwise_equal_to_reference(self, data):
+        # n runs from the smallest allowed size, where every factor step is
+        # a clipped edge step, to sizes well past p + q
+        p, q = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        n = data.draw(st.integers(max(p, q) + 1, 3 * (p + q) + 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        m = random_band(n, p, q, rng, dominance=sign * (p + q + 2.0))
+        fac = lu_factor_banded(m)
+        ref = reference_factor(m)
+        assert same_bits(np.array(fac.rows), ref)
+        rhs = rng.uniform(-1, 1, n)
+        x, y = reference_solves(ref, p, q, rhs)
+        assert same_bits(fac.solve(rhs)[0], x)
+        assert same_bits(fac.solve_transpose(rhs), y)
+
+    def test_kernels_built_once_per_bandwidth_pair(self):
+        banded._kernel.cache_clear()
+        rng = np.random.default_rng(5)
+        for n in (9, 30):
+            fac = lu_factor_banded(random_band(n, 4, 2, rng, dominance=8.0))
+            fac.solve(np.ones(n))
+            fac.solve_transpose(np.ones(n))
+        info = banded._kernel.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+        assert banded._kernel("solve", 4, 2) is banded._kernel("solve", 4, 2)
+        assert banded._kernel("solve", 2, 4) is not banded._kernel("solve", 4, 2)
+
     def test_solution_matches_dense_oracle(self):
         # oracle: dense Gaussian elimination via numpy on the same system
         rng = np.random.default_rng(11)
@@ -174,6 +206,16 @@ class TestLU:
         with pytest.raises(SingularMatrixError, match="row 1"):
             lu_factor_banded(m)
 
+    @pytest.mark.parametrize("p, q, row", [(5, 5, 12), (3, 1, 0), (1, 4, 26), (5, 5, 29)])
+    def test_unusable_pivot_row_in_unrolled_and_edge_steps(self, p, q, row):
+        # n = 30: rows below n - max(p, q) are unrolled steps, the rest edge steps
+        m = BandedMatrix(30, p, q)
+        m.data[q] = 3.0
+        m.data[q, row] = -0.0
+        with pytest.raises(SingularMatrixError, match=re.escape(
+                f"unusable pivot at row {row} (-0.000e+00, need |pivot| >= 1e-300)")):
+            lu_factor_banded(m)
+
     def test_pivot_at_floor_accepted(self):
         m = BandedMatrix(3, 1, 1)
         for i in range(3):
@@ -187,6 +229,17 @@ class TestLU:
             m.set(i, i, 2.0)
         with pytest.raises(ValueError):
             lu_factor_banded(m).solve(np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 2), (3,), ()],
+                             ids=["column", "two-columns", "short", "scalar"])
+    @pytest.mark.parametrize("method", ["solve", "solve_transpose"])
+    def test_rhs_must_be_vector_of_dimension(self, method, shape):
+        m = BandedMatrix(4, 1, 1)
+        for i in range(4):
+            m.set(i, i, 2.0)
+        solver = getattr(lu_factor_banded(m), method)
+        with pytest.raises(ValueError, match=re.escape(f"length 4, got shape {shape}")):
+            solver(np.ones(shape))
 
 
 class TestOperationCounts:
