@@ -13,6 +13,7 @@ import numpy as np
 
 from dualpg.assembly import operator_matrix
 from dualpg.banded import lu_factor_banded
+from dualpg.orders import order_spec
 
 
 def main() -> None:
@@ -26,7 +27,7 @@ def main() -> None:
     print(f"{'order':>5} {'N':>5} {'n':>5} {'factor':>8} {'ceiling':>8} "
           f"{'solve':>7} {'ceiling':>8} {'factor/n':>9}")
     for order, cf, cs in ((3, 21, 13), (5, 55, 21)):
-        coeffs = (1.0,) * (3 if order == 3 else 5)
+        coeffs = (1.0,) * order_spec(order).n_coefficients
         for N in args.sizes:
             matrix = operator_matrix(order, coeffs, N)
             fac = lu_factor_banded(matrix)

@@ -7,6 +7,8 @@ six-band matrices solved by LU without pivoting in O(N) operations.  Both
 orders run through one route, `solve(problem, N)`, parametrized by the
 order's `OrderSpec`.
 """
+from functools import partial
+
 from .analysis import (
     ConditionReport,
     SpectralSolution,
@@ -15,9 +17,7 @@ from .analysis import (
     evaluate_solution,
     max_pointwise_error,
     solve,
-    solve_fifth,
     solve_system,
-    solve_third,
 )
 from .assembly import (
     BandSystem,
@@ -27,16 +27,10 @@ from .assembly import (
     ThirdOrderBC,
     ThirdOrderProblem,
     assemble,
-    assemble_fifth,
-    assemble_third,
     boundary_lift,
-    lift_fifth,
-    lift_third,
     modified_rhs,
     operator_entry_oracle,
     rhs_projection,
-    rhs_projection_fifth,
-    rhs_projection_third,
 )
 from .banded import (
     BandedMatrix,
@@ -44,8 +38,6 @@ from .banded import (
     SingularMatrixError,
     lu_factor_banded,
     solve_diagonal,
-    solve_diagonal_fifth,
-    solve_diagonal_third,
 )
 from .families import ExampleFamily, make_family
 from .gjp import BasisFamily, GJPIndex, eval_J, eval_phi, eval_psi, legendre_expansion_J
@@ -62,3 +54,12 @@ from .jacobi import (
 from .orders import OrderSpec, order_spec
 
 __version__ = "0.1.0"
+
+# per-order names of the general route, defined here and nowhere else
+solve_third = solve_fifth = solve
+assemble_third = assemble_fifth = assemble
+lift_third = lift_fifth = boundary_lift
+rhs_projection_third = partial(rhs_projection, 3)
+rhs_projection_fifth = partial(rhs_projection, 5)
+solve_diagonal_third = partial(solve_diagonal, 3)
+solve_diagonal_fifth = partial(solve_diagonal, 5)

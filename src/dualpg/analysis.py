@@ -2,7 +2,7 @@
 
 One route serves both orders: `solve(problem, N)` assembles and solves the
 problem's system, with every order-dependent quantity taken from its
-`OrderSpec`; `solve_third` and `solve_fifth` are aliases of it.
+`OrderSpec`.
 
 Conditioning of the diagonal blocks B1/B2 follows directly from their
 entries.  For the full matrices D1/D2 the tabulated reference values are
@@ -43,8 +43,6 @@ __all__ = [
     "ConditionReport",
     "solve",
     "solve_system",
-    "solve_third",
-    "solve_fifth",
     "evaluate_solution",
     "max_pointwise_error",
     "residual_norm",
@@ -117,8 +115,6 @@ def solve(problem, N: int) -> SpectralSolution:
     """Solve a third- or fifth-order problem at truncation N."""
     return solve_system(problem, N, assemble(problem, N))
 
-
-solve_third = solve_fifth = solve
 
 
 @dataclass(frozen=True)

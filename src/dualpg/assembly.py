@@ -21,13 +21,12 @@ operations for any N.
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
 the test expansion through hand-derived monomial tables (no quadrature).
-The `_third`/`_fifth` names are aliases of the general route.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 from typing import Callable
 
@@ -47,9 +46,7 @@ from .orders import (
     FifthOrderProblem,
     ThirdOrderBC,
     ThirdOrderProblem,
-    fifth_expansion,
     order_spec,
-    third_expansion,
 )
 
 __all__ = [
@@ -59,18 +56,10 @@ __all__ = [
     "FifthOrderProblem",
     "LiftPolynomial",
     "BandSystem",
-    "third_expansion",
-    "fifth_expansion",
     "operator_matrix",
     "assemble",
-    "assemble_third",
-    "assemble_fifth",
     "rhs_projection",
-    "rhs_projection_third",
-    "rhs_projection_fifth",
     "boundary_lift",
-    "lift_third",
-    "lift_fifth",
     "lift_correction_polynomial",
     "modified_rhs",
     "operator_entry_oracle",
@@ -216,16 +205,11 @@ def rhs_projection(order: int, rhs: Callable, N: int) -> np.ndarray:
     return _projection(rhs, N, spec.test_params, spec.dimension(N))
 
 
-rhs_projection_third = partial(rhs_projection, 3)
-rhs_projection_fifth = partial(rhs_projection, 5)
-
 
 def boundary_lift(bc) -> LiftPolynomial:
     """Lift of degree 2m turning the boundary data `bc` homogeneous."""
     return LiftPolynomial(order=bc.order, coefficients=order_spec(bc.order).lift(bc))
 
-
-lift_third = lift_fifth = boundary_lift
 
 
 def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.ndarray:
@@ -274,8 +258,6 @@ def assemble(problem, N: int) -> BandSystem:
         matrix=matrix, rhs=rhs, dimension=order_spec(order).dimension(N), order=order
     )
 
-
-assemble_third = assemble_fifth = assemble
 
 
 def operator_entry_oracle(order: int, coefficients, j: int, k: int, N: int) -> float:

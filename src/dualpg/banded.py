@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 from typing import Callable
 
@@ -43,8 +43,6 @@ __all__ = [
     "BandedLU",
     "lu_factor_banded",
     "solve_diagonal",
-    "solve_diagonal_third",
-    "solve_diagonal_fifth",
     "diagonal_third_from_moments",
     "diagonal_fifth_from_moments",
 ]
@@ -362,9 +360,6 @@ def solve_diagonal(order: int, fstar: np.ndarray) -> np.ndarray:
     fstar = np.asarray(fstar, dtype=float)
     return fstar / order_spec(order).diagonal(np.arange(fstar.size))
 
-
-solve_diagonal_third = partial(solve_diagonal, 3)
-solve_diagonal_fifth = partial(solve_diagonal, 5)
 
 
 def diagonal_third_from_moments(f: np.ndarray) -> np.ndarray:

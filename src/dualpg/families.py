@@ -109,9 +109,8 @@ class ExampleFamily:
         rhs = self.rhs(coefficients)
         return order_spec(self.order).problem(*coefficients, rhs=rhs, bc=self.bc())
 
-    # a family of the other order fails the coefficient count in `rhs`
-    rhs_third = rhs_fifth = rhs
-    bc_third = bc_fifth = bc
+    # per-order names of `problem`; a family of the other order fails the
+    # coefficient count in `rhs`
     third_order_problem = fifth_order_problem = problem
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "eval_J",
     "eval_phi",
     "eval_psi",
-    "dual_params",
     "legendre_expansion_J",
 ]
 
@@ -81,11 +80,6 @@ def eval_J(idx: GJPIndex, k: int, x):
 def _poly_derivative_values(coeffs: np.ndarray, i: int, x: np.ndarray) -> np.ndarray:
     c = np.polynomial.polynomial.polyder(coeffs, i) if i else coeffs
     return np.polynomial.polynomial.polyval(x, c)
-
-
-def dual_params(order: int) -> JacobiParams:
-    """Classical index pair of the R factor inside the test basis."""
-    return order_spec(order).test_params
 
 
 def eval_phi(order: int, k: int, x, q: int = 0):

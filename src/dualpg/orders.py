@@ -5,8 +5,9 @@ trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
 boundary-data and problem records, operator signs, closed-form derivative
-expansions (offset-keyed tables over an int or an array of columns k),
-B1/B2 diagonal, monomial tables and closed-form lift.
+expansions (offset-keyed tables over an int or an array of columns k;
+an offset whose row k + d is negative reads exactly 0.0 and callers
+filter it), B1/B2 diagonal, monomial tables and closed-form lift.
 `order_spec` is the one place that accepts or rejects an order.
 """
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "FifthOrderBC",
     "ThirdOrderProblem",
     "FifthOrderProblem",
-    "third_expansion",
-    "fifth_expansion",
     "OrderSpec",
     "SPECS",
     "order_spec",
@@ -236,21 +235,6 @@ def _fifth_table(q: int, k):
     else:
         raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
     return terms
-
-
-def _by_row(table, q: int, j: int) -> dict[int, float]:
-    """Scalar view of a table: {row index: coefficient} of column j, nonzeros only."""
-    return {j + d: c for d, c in table(q, j).items() if j + d >= 0 and c != 0.0}
-
-
-def third_expansion(q: int, j: int) -> dict[int, float]:
-    """R^{(1,2)}-expansion coefficients of D^q phi_j for the order-3 basis."""
-    return _by_row(_third_table, q, j)
-
-
-def fifth_expansion(q: int, j: int) -> dict[int, float]:
-    """R^{(2,3)}-expansion coefficients of D^q phi_j for the order-5 basis."""
-    return _by_row(_fifth_table, q, j)
 
 
 def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:

@@ -6,37 +6,34 @@ matrices are defined by the quadrature oracle: the closed-form tables must
 match it, and the alternative tabulated entry formulas shipped for
 cross-checking are compared against the oracle separately, with any
 disagreement enumerated (both values shown) rather than silently adopted.
+
+Every per-order suite is written once and reads the order's facts from
+`order_spec(order)`.  What the spec cannot derive (the sample sets and
+sizes, the operation-count ceilings, the paper's printed formulas and
+multipliers, the suite-name words) is data in `CHECKS`, one `OrderChecks`
+record per order; a suite over both orders walks `CHECKS` in order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import numpy as np
 
-from . import assembly
 from .assembly import (
-    FifthOrderBC,
-    ThirdOrderBC,
+    boundary_lift,
     lift_correction_polynomial,
-    lift_fifth,
-    lift_third,
     modified_rhs,
     operator_matrix,
     operator_oracle_matrix,
-    rhs_projection_fifth,
-    rhs_projection_third,
+    rhs_projection,
 )
-from .banded import (
-    BandedMatrix,
-    lu_factor_banded,
-    solve_diagonal_fifth,
-    solve_diagonal_third,
-)
+from .banded import BandedMatrix, lu_factor_banded, solve_diagonal
 from .gjp import (
     GJPIndex,
-    dual_params,
     eval_J,
     eval_legendre_series,
     eval_phi,
@@ -53,7 +50,7 @@ from .jacobi import (
 )
 from .orders import order_spec
 
-__all__ = ["SuiteResult", "run_verification", "SUITES"]
+__all__ = ["SuiteResult", "OrderChecks", "CHECKS", "run_verification", "SUITES"]
 
 # interior sample grid shared by the pointwise identity suites; endpoints
 # are exercised by the boundary-vanishing suite instead
@@ -66,13 +63,6 @@ FOUR_PARAM_SETS = (
     JacobiParams(3.0, 2.0),
 )
 
-THIRD_COEFF_SETS = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 3.0, 4.0))
-FIFTH_COEFF_SETS = (
-    (0.0, 0.0, 0.0, 0.0, 0.0),
-    (1.0, 1.0, 1.0, 1.0, 1.0),
-    (2.0, 3.0, 4.0, 5.0, 6.0),
-)
-
 
 @dataclass
 class SuiteResult:
@@ -81,6 +71,23 @@ class SuiteResult:
     max_deviation: float
     tolerance: float
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class OrderChecks:
+    """What the per-order suites check beyond what `order_spec` derives."""
+
+    word: str  # the order's word in suite names
+    coeff_sets: tuple  # oracle equivalence; the second drives the manufactured solve
+    oracle_sizes: tuple[int, ...]
+    expansion_kmax: int
+    band_coeffs: tuple[float, ...]
+    manufactured_N: int
+    lift_samples: tuple  # boundary data, in `boundary_points` order
+    two_path: tuple  # (operator coefficients, boundary data, N)
+    ceilings: tuple[int, int]  # factor and solve operations per row of D
+    printed_entries: tuple  # PRINTED_D1 or PRINTED_D2
+    printed_lift_factors: tuple[float, ...]  # printed multiplier of degree d
 
 
 def _result(name, dev, tol, detail=""):
@@ -196,53 +203,34 @@ def suite_derivative_finite_difference() -> SuiteResult:
     return _result("derivative-vs-finite-difference", worst, 1e-5)
 
 
-def suite_third_derivative_identity() -> SuiteResult:
-    """D^3 phi_k = 2 (k+1)(k+3) R_k^{(1,2)} for the order-3 trial basis."""
+def suite_derivative_identity(order: int) -> SuiteResult:
+    """D^order phi_k = sign * B_kk * R_k of the test family (B = B1 or B2)."""
+    spec = order_spec(order)
     x = CHEBYSHEV_SAMPLES
     worst = 0.0
     for k in range(16):
-        lhs = eval_phi(3, k, x, 3)
-        rhs = 2.0 * (k + 1) * (k + 3) * eval_R(JacobiParams(1.0, 2.0), k, x)
-        worst = max(worst, np.max(np.abs(lhs - rhs)) / (2.0 * (k + 1) * (k + 3)))
-    return _result("third-derivative-identity", worst, 1e-9)
-
-
-def suite_fifth_derivative_identity() -> SuiteResult:
-    """D^5 phi_k = -3 (k+1)(k+2)(k+4)(k+5) R_k^{(2,3)} for order 5."""
-    x = CHEBYSHEV_SAMPLES
-    worst = 0.0
-    for k in range(16):
-        scale = 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
-        lhs = eval_phi(5, k, x, 5)
-        rhs = -scale * eval_R(JacobiParams(2.0, 3.0), k, x)
+        scale = spec.diagonal(k)
+        lhs = eval_phi(order, k, x, order)
+        rhs = spec.signs[order] * scale * eval_R(spec.test_params, k, x)
         worst = max(worst, np.max(np.abs(lhs - rhs)) / scale)
-    return _result("fifth-derivative-identity", worst, 1e-9)
+    return _result(f"{CHECKS[order].word}-derivative-identity", worst, 1e-9)
 
 
-def _expansion_deviation(order: int, qmax: int, kmax: int) -> float:
-    expansion = assembly.third_expansion if order == 3 else assembly.fifth_expansion
-    params = dual_params(order)
+def suite_expansions(order: int) -> SuiteResult:
+    """D^q phi_k (q < order) matches its closed-form test-family expansion."""
+    spec = order_spec(order)
     x = CHEBYSHEV_SAMPLES
     worst = 0.0
-    for q in range(qmax + 1):
-        for k in range(kmax + 1):
+    for q in range(order):
+        for k in range(CHECKS[order].expansion_kmax + 1):
             direct = np.asarray(eval_phi(order, k, x, q))
             series = np.zeros_like(x)
-            for i, c in expansion(q, k).items():
-                series += c * eval_R(params, i, x)
+            for d, c in spec.expansion_table(q, k).items():
+                if k + d >= 0:
+                    series += c * eval_R(spec.test_params, k + d, x)
             scale = max(1.0, float(np.max(np.abs(direct))))
             worst = max(worst, np.max(np.abs(direct - series)) / scale)
-    return worst
-
-
-def suite_expansion_third() -> SuiteResult:
-    """D^q phi_k (q <= 2) matches its closed-form R^{(1,2)} expansion."""
-    return _result("derivative-expansions-third", _expansion_deviation(3, 2, 15), 1e-9)
-
-
-def suite_expansion_fifth() -> SuiteResult:
-    """D^q phi_k (q <= 4) matches its closed-form R^{(2,3)} expansion."""
-    return _result("derivative-expansions-fifth", _expansion_deviation(5, 4, 12), 1e-9)
+    return _result(f"derivative-expansions-{CHECKS[order].word}", worst, 1e-9)
 
 
 def suite_legendre_expansions() -> SuiteResult:
@@ -259,14 +247,12 @@ def suite_legendre_expansions() -> SuiteResult:
 
 
 def suite_boundary_vanishing() -> SuiteResult:
-    """D^i phi_k vanishes at +1 (i < l) and at -1 (i < m) for both orders."""
+    """D^i phi_k vanishes at every boundary point (i, x) of each order."""
     worst = 0.0
-    for order, at_plus, at_minus in ((3, 2, 1), (5, 3, 2)):
+    for order in CHECKS:
         for k in range(21):
-            for i in range(at_plus):
-                worst = max(worst, abs(eval_phi(order, k, 1.0, i)))
-            for i in range(at_minus):
-                worst = max(worst, abs(eval_phi(order, k, -1.0, i)))
+            for i, x in order_spec(order).boundary_points:
+                worst = max(worst, abs(eval_phi(order, k, x, i)))
     return _result("boundary-vanishing", worst, 1e-10)
 
 
@@ -287,20 +273,23 @@ def suite_duality() -> SuiteResult:
     return _result("trial-test-duality", worst, 1e-9)
 
 
-def _oracle_equivalence(order: int, coeff_sets, sizes) -> SuiteResult:
+def suite_oracle_equivalence(order: int) -> SuiteResult:
+    """Assembled D1 or D2 matches the quadrature oracle entrywise."""
     # per-entry tolerance: 1e-10 relative (normalization-invariant), plus an
     # absolute floor for zero entries applied in the unnormalized moment
     # space (L phi_j, psi_k), where all entries share one natural scale;
     # the normalized matrix divides row k by h_k, which varies by orders of
     # magnitude and would make a single absolute floor meaningless
+    spec = order_spec(order)
+    checks = CHECKS[order]
     worst = 0.0
     worst_where = ""
-    for coeffs in coeff_sets:
-        for N in sizes:
+    for coeffs in checks.coeff_sets:
+        for N in checks.oracle_sizes:
             assembled = operator_matrix(order, coeffs, N).to_dense()
             oracle = operator_oracle_matrix(order, coeffs, N)
             hk = np.array([
-                norm_h(dual_params(order), k) for k in range(oracle.shape[0])
+                norm_h(spec.test_params, k) for k in range(oracle.shape[0])
             ])
             assembled_m = assembled * hk[:, None]
             oracle_m = oracle * hk[:, None]
@@ -325,16 +314,6 @@ def _oracle_equivalence(order: int, coeff_sets, sizes) -> SuiteResult:
     )
 
 
-def suite_oracle_equivalence_third() -> SuiteResult:
-    """Assembled D1 matches the quadrature oracle entrywise."""
-    return _oracle_equivalence(3, THIRD_COEFF_SETS, (8, 15, 24))
-
-
-def suite_oracle_equivalence_fifth() -> SuiteResult:
-    """Assembled D2 matches the quadrature oracle entrywise."""
-    return _oracle_equivalence(5, FIFTH_COEFF_SETS, (10, 17, 24))
-
-
 def suite_band_structure() -> SuiteResult:
     """D1 is at most four-band (p = q <= 3), D2 six-band (p = q <= 5).
 
@@ -342,8 +321,9 @@ def suite_band_structure() -> SuiteResult:
     hold wider entries), relative to the matrix scale.
     """
     worst = 0.0
-    for order, coeffs, band in ((3, (1.0, 2.0, 3.0), 3), (5, (1.0,) * 5, 5)):
-        oracle = operator_oracle_matrix(order, coeffs, 20)
+    for order, checks in CHECKS.items():
+        band = order_spec(order).bandwidth
+        oracle = operator_oracle_matrix(order, checks.band_coeffs, 20)
         scale = float(np.max(np.abs(oracle)))
         n = oracle.shape[0]
         for i in range(n):
@@ -357,10 +337,12 @@ def suite_manufactured_coefficients() -> SuiteResult:
     """Solving with rhs = L(sum a_k phi_k) reproduces the coefficients."""
     rng = np.random.default_rng(20240311)
     worst = 0.0
-    for order, coeff_sets, N in ((3, THIRD_COEFF_SETS, 16), (5, FIFTH_COEFF_SETS, 18)):
-        dim = N - 2 if order == 3 else N - 4
-        weights = order_spec(order).weights(coeff_sets[1])
-        a_true = rng.uniform(-1.0, 1.0, dim)
+    for order, checks in CHECKS.items():
+        spec = order_spec(order)
+        N = checks.manufactured_N
+        coeffs = checks.coeff_sets[1]
+        weights = spec.weights(coeffs)
+        a_true = rng.uniform(-1.0, 1.0, spec.dimension(N))
 
         def rhs(x, _w=weights, _a=a_true, _order=order):
             out = np.zeros_like(np.asarray(x, dtype=float))
@@ -370,8 +352,8 @@ def suite_manufactured_coefficients() -> SuiteResult:
                         out += w * ak * eval_phi(_order, k, x, q)
             return out
 
-        matrix = operator_matrix(order, coeff_sets[1], N)
-        proj = (rhs_projection_third if order == 3 else rhs_projection_fifth)(rhs, N)
+        matrix = operator_matrix(order, coeffs, N)
+        proj = rhs_projection(order, rhs, N)
         solved, _ = lu_factor_banded(matrix).solve(proj)
         worst = max(worst, np.max(np.abs(solved - a_true)))
     return _result("manufactured-coefficients", worst, 1e-10)
@@ -379,36 +361,14 @@ def suite_manufactured_coefficients() -> SuiteResult:
 
 def suite_lift_reconstruction() -> SuiteResult:
     """u = V - lift reproduces the boundary data exactly."""
-    grid = np.linspace(-1.0, 1.0, 5)
+    P = np.polynomial.polynomial
     worst = 0.0
-    for am in grid:
-        for ap in grid[::2]:
-            for a1p in grid[::2]:
-                lift = lift_third(ThirdOrderBC(am, ap, a1p))
-                c = np.asarray(lift.coefficients)
-                dc = np.polynomial.polynomial.polyder(c)
-                worst = max(
-                    worst,
-                    abs(lift(1.0) + ap),
-                    abs(lift(-1.0) + am),
-                    abs(float(np.polynomial.polynomial.polyval(1.0, dc)) + a1p),
-                )
-    rng = np.random.default_rng(77)
-    for _ in range(40):
-        am, ap, a1m, a1p, a2p = rng.uniform(-1.0, 1.0, 5)
-        lift = lift_fifth(FifthOrderBC(am, ap, a1m, a1p, a2p))
-        c = np.asarray(lift.coefficients)
-        dc = np.polynomial.polynomial.polyder(c)
-        ddc = np.polynomial.polynomial.polyder(c, 2)
-        pv = np.polynomial.polynomial.polyval
-        worst = max(
-            worst,
-            abs(lift(1.0) + ap),
-            abs(lift(-1.0) + am),
-            abs(float(pv(1.0, dc)) + a1p),
-            abs(float(pv(-1.0, dc)) + a1m),
-            abs(float(pv(1.0, ddc)) + a2p),
-        )
+    for order, checks in CHECKS.items():
+        spec = order_spec(order)
+        for values in checks.lift_samples:
+            c = np.asarray(boundary_lift(spec.bc(*values)).coefficients)
+            for (i, x), value in zip(spec.boundary_points, values):
+                worst = max(worst, abs(float(P.polyval(x, P.polyder(c, i))) + value))
     return _result("lift-reconstruction", worst, 1e-12)
 
 
@@ -416,34 +376,19 @@ def suite_modified_rhs_two_path() -> SuiteResult:
     """Adding the projected lift correction equals projecting f + L(lift)."""
     worst = 0.0
     f = np.cosh  # smooth stand-in rhs
+    for order, checks in CHECKS.items():
+        spec = order_spec(order)
+        coeffs, bc, N = checks.two_path
+        problem = spec.problem(*coeffs, rhs=f, bc=spec.bc(*bc))
+        lift = boundary_lift(problem.bc)
+        path_a = modified_rhs(order, lift, rhs_projection(order, f, N), problem)
+        g = lift_correction_polynomial(order, lift, problem)
 
-    class _P3:
-        coefficients = (1.5, -0.5, 2.0)
+        def f_star(x):
+            return f(x) + np.polynomial.polynomial.polyval(np.asarray(x), g)
 
-    class _P5:
-        coefficients = (1.0, 0.5, -1.0, 2.0, 0.25)
-
-    lift3 = lift_third(ThirdOrderBC(0.3, -0.2, 0.7))
-    base3 = rhs_projection_third(f, 14)
-    path_a = modified_rhs(3, lift3, base3, _P3)
-    g3 = lift_correction_polynomial(3, lift3, _P3)
-
-    def f_star3(x):
-        return f(x) + np.polynomial.polynomial.polyval(np.asarray(x), g3)
-
-    path_b = rhs_projection_third(f_star3, 14)
-    worst = max(worst, np.max(np.abs(path_a - path_b)))
-
-    lift5 = lift_fifth(FifthOrderBC(0.3, -0.2, 0.7, 0.1, -0.4))
-    base5 = rhs_projection_fifth(f, 16)
-    path_a5 = modified_rhs(5, lift5, base5, _P5)
-    g5 = lift_correction_polynomial(5, lift5, _P5)
-
-    def f_star5(x):
-        return f(x) + np.polynomial.polynomial.polyval(np.asarray(x), g5)
-
-    path_b5 = rhs_projection_fifth(f_star5, 16)
-    worst = max(worst, np.max(np.abs(path_a5 - path_b5)))
+        path_b = rhs_projection(order, f_star, N)
+        worst = max(worst, np.max(np.abs(path_a - path_b)))
     return _result("modified-rhs-two-path", worst, 1e-11)
 
 
@@ -451,14 +396,13 @@ def suite_diagonal_fast_paths() -> SuiteResult:
     """Closed-form diagonal solves match the general band route."""
     rng = np.random.default_rng(5)
     worst = 0.0
-    for order in (3, 5):
+    for order in CHECKS:
+        spec = order_spec(order)
         N = 24
-        dim = N - 2 if order == 3 else N - 4
-        zeros = (0.0, 0.0, 0.0) if order == 3 else (0.0,) * 5
-        matrix = operator_matrix(order, zeros, N)
-        fstar = rng.uniform(-2.0, 2.0, dim)
+        matrix = operator_matrix(order, (0.0,) * spec.n_coefficients, N)
+        fstar = rng.uniform(-2.0, 2.0, spec.dimension(N))
         banded, _ = lu_factor_banded(matrix).solve(fstar)
-        fast = solve_diagonal_third(fstar) if order == 3 else solve_diagonal_fifth(fstar)
+        fast = solve_diagonal(order, fstar)
         worst = max(worst, np.max(np.abs(banded - fast)))
     return _result("diagonal-fast-paths", worst, 1e-13)
 
@@ -490,10 +434,11 @@ def suite_operation_counts() -> SuiteResult:
     """LU/solve totals stay under the order-of constants and scale linearly."""
     details = []
     worst_ratio = 0.0
-    per_n = {3: [], 5: []}
-    for order, band_consts in ((3, (21, 13)), (5, (55, 21))):
-        cf, cs = band_consts
-        coeffs = (1.0, 1.0, 1.0) if order == 3 else (1.0,) * 5
+    per_n = {}
+    for order, checks in CHECKS.items():
+        cf, cs = checks.ceilings
+        coeffs = (1.0,) * order_spec(order).n_coefficients
+        per_n[order] = []
         for N in (16, 32, 64):
             matrix = operator_matrix(order, coeffs, N)
             n = matrix.n
@@ -525,7 +470,9 @@ def suite_operation_counts() -> SuiteResult:
 # --- printed-entry comparison (informational) ------------------------------
 #
 # Entry formulas exactly as tabulated in the accompanying closed-form
-# displays, including the entries the oracle rejects.  (k, offset) means matrix entry (k+max(-d,0),
+# displays, including the entries the oracle rejects.  Each block of D1
+# (order 3) and D2 (order 5) is (name, q of the derivative it weighs,
+# {offset d: formula}); (k, offset) means matrix entry (k+max(-d,0),
 # k+max(d,0)) for super/subdiagonal offset d.
 
 def _safe(fn, k):
@@ -535,111 +482,103 @@ def _safe(fn, k):
         return math.nan
 
 
-def _printed_third():
-    p = pochhammer
-    return {
-        "B1": {0: lambda k: 2.0 * (k + 1) * (k + 3)},
-        "E2": {
-            1: lambda k: 2.0 * (k + 1) * (k + 2) / (2 * k + 5),
-            -1: lambda k: -2.0 * (k + 3) * (k + 4) / (2 * k + 5),
-            0: lambda k: 4.0 * (k + 1) * (k + 3) / ((2 * k + 3) * (2 * k + 5)),
-        },
-        "E1": {
-            0: lambda k: 4.0 * (k + 1) * (k + 3) / ((2 * k + 3) * (2 * k + 5)),
-            1: lambda k: -8.0 * (k + 1) * (k + 2) / ((2 * k + 3) * (2 * k + 5) * (2 * k + 7)),
-            2: lambda k: -2.0 * (k + 1) * (k + 2) * (k + 3) / ((k + 4) * (2 * k + 5) * (2 * k + 7)),
-            -1: lambda k: 8.0 * (k + 3) * (k + 4) / ((2 * k + 3) * (2 * k + 5) * (2 * k + 7)),
-            -2: lambda k: -2.0 * (k + 3) * (k + 4) * (k + 5) / ((k + 2) * (2 * k + 5) * (2 * k + 7)),
-        },
-        "E0": {
-            0: lambda k: 3.0 * (k + 1) * (k + 3) / (2.0 * p(k + 0.5, 4)),
-            1: lambda k: 3.0 * p(k + 1, 2) / (4.0 * p(k + 1.5, 3)),
-            2: lambda k: -3.0 * p(k + 1, 3) / (4.0 * (k + 4) * p(k + 1.5, 4)),
-            3: lambda k: -p(k + 1, 3) / (4.0 * (k + 5) * p(k + 2.5, 3)),
-            -1: lambda k: -3.0 * p(k + 3, 2) / (4.0 * p(k + 1.5, 3)),
-            -2: lambda k: -3.0 * p(k + 3, 5) / (4.0 * k * p(k + 1.5, 4)),
-            -3: lambda k: p(k + 4, 3) / (4.0 * (k + 2) * p(k + 2.5, 3)),
-        },
-    }
+_p = pochhammer
 
 
-def _printed_fifth():
-    p = pochhammer
+def _r(k):
+    return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
 
-    def r(k):
-        return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
 
-    return {
-        "B2": {0: r},
-        "G4": {
-            0: lambda k: r(k) / (2.0 * p(k + 2.5, 2)),
-            1: lambda k: 3.0 * p(k + 1, 3) * (k + 5) / (2 * k + 7),
-            -1: lambda k: -3.0 * p(k + 2, 5) / ((k + 3) * (2 * k + 7)),
-        },
-        "G3": {
-            0: lambda k: r(k) / (2.0 * p(k + 2.5, 2)),
-            1: lambda k: -3.0 * p(k + 1, 3) * (k + 5) / (2.0 * p(k + 2.5, 3)),
-            2: lambda k: -3.0 * p(k + 1, 4) / (4.0 * p(k + 3.5, 2)),
-            -1: lambda k: 3.0 * (k + 2) * p(k + 4, 3) / (2.0 * p(k + 2.5, 3)),
-            -2: lambda k: -3.0 * p(k + 4, 4) / (4.0 * p(k + 3.5, 2)),
-        },
-        "G2": {
-            0: lambda k: 3.0 * r(k) / (4.0 * p(k + 1.5, 4)),
-            1: lambda k: 9.0 * p(k + 1, 3) * (k + 5) / (8.0 * p(k + 2.5, 3)),
-            2: lambda k: -9.0 * p(k + 1, 4) / (8.0 * p(k + 2.5, 4)),
-            3: lambda k: -3.0 * p(k + 1, 5) / (8.0 * (k + 6) * p(k + 3.5, 3)),
-            -1: lambda k: -9.0 * (k + 2) * p(k + 4, 3) / (8.0 * p(k + 2.5, 3)),
-            -2: lambda k: -9.0 * p(k + 4, 4) / (8.0 * p(k + 2.5, 4)),
-            -3: lambda k: 3.0 * p(k + 4, 5) / (8.0 * (k + 3) * p(k + 3.5, 3)),
-        },
-        "G1": {
-            0: lambda k: 3.0 * r(k) / (8.0 * p(k + 1.5, 4)),
-            1: lambda k: -9.0 * p(k + 1, 3) * (k + 5) / (4.0 * p(k + 1.5, 5)),
-            2: lambda k: -3.0 * p(k + 1, 4) / (4.0 * p(k + 2.5, 4)),
-            3: lambda k: 3.0 * p(k + 1, 5) / (4.0 * (k + 6) * p(k + 2.5, 5)),
-            4: lambda k: 3.0 * p(k + 1, 5) / (16.0 * (k + 7) * p(k + 3.5, 4)),
-            -1: lambda k: 9.0 * (k + 2) * p(k + 4, 3) / (4.0 * p(k + 1.5, 5)),
-            -2: lambda k: -3.0 * p(k + 4, 4) / (4.0 * p(k + 2.5, 4)),
-            -3: lambda k: -3.0 * p(k + 4, 5) / (4.0 * (k + 3) * p(k + 2.5, 5)),
-            -4: lambda k: 3.0 * p(k + 5, 5) / (16.0 * (k + 3) * p(k + 3.5, 4)),
-        },
-        "G0": {
-            0: lambda k: 15.0 * r(k) / (16.0 * p(k + 0.5, 6)),
-            1: lambda k: 15.0 * p(k + 1, 3) * (k + 5) / (16.0 * p(k + 1.5, 5)),
-            2: lambda k: -15.0 * p(k + 1, 4) / (8.0 * p(k + 1.5, 6)),
-            3: lambda k: -15.0 * p(k + 1, 5) / (32.0 * (k + 6) * p(k + 2.5, 5)),
-            4: lambda k: 15.0 * p(k + 1, 5) / (32.0 * (k + 7) * p(k + 2.5, 6)),
-            5: lambda k: 3.0 * p(k + 1, 5) / (32.0 * (k + 8) * p(k + 3.5, 5)),
-            -1: lambda k: -15.0 * (k + 2) * p(k + 4, 3) / (16.0 * p(k + 1.5, 5)),
-            -2: lambda k: -15.0 * p(k + 4, 4) / (8.0 * p(k + 1.5, 6)),
-            -3: lambda k: 15.0 * p(k + 4, 5) / (32.0 * (k + 3) * p(k + 2.5, 5)),
-            -4: lambda k: 15.0 * p(k + 5, 5) / (32.0 * (k + 3) * p(k + 2.5, 6)),
-            -5: lambda k: -3.0 * p(k + 6, 5) / (32.0 * (k + 3) * p(k + 3.5, 5)),
-        },
-    }
+PRINTED_D1 = (
+    ("B1", 3, {0: lambda k: 2.0 * (k + 1) * (k + 3)}),
+    ("E2", 2, {
+        1: lambda k: 2.0 * (k + 1) * (k + 2) / (2 * k + 5),
+        -1: lambda k: -2.0 * (k + 3) * (k + 4) / (2 * k + 5),
+        0: lambda k: 4.0 * (k + 1) * (k + 3) / ((2 * k + 3) * (2 * k + 5)),
+    }),
+    ("E1", 1, {
+        0: lambda k: 4.0 * (k + 1) * (k + 3) / ((2 * k + 3) * (2 * k + 5)),
+        1: lambda k: -8.0 * (k + 1) * (k + 2) / ((2 * k + 3) * (2 * k + 5) * (2 * k + 7)),
+        2: lambda k: -2.0 * (k + 1) * (k + 2) * (k + 3) / ((k + 4) * (2 * k + 5) * (2 * k + 7)),
+        -1: lambda k: 8.0 * (k + 3) * (k + 4) / ((2 * k + 3) * (2 * k + 5) * (2 * k + 7)),
+        -2: lambda k: -2.0 * (k + 3) * (k + 4) * (k + 5) / ((k + 2) * (2 * k + 5) * (2 * k + 7)),
+    }),
+    ("E0", 0, {
+        0: lambda k: 3.0 * (k + 1) * (k + 3) / (2.0 * _p(k + 0.5, 4)),
+        1: lambda k: 3.0 * _p(k + 1, 2) / (4.0 * _p(k + 1.5, 3)),
+        2: lambda k: -3.0 * _p(k + 1, 3) / (4.0 * (k + 4) * _p(k + 1.5, 4)),
+        3: lambda k: -_p(k + 1, 3) / (4.0 * (k + 5) * _p(k + 2.5, 3)),
+        -1: lambda k: -3.0 * _p(k + 3, 2) / (4.0 * _p(k + 1.5, 3)),
+        -2: lambda k: -3.0 * _p(k + 3, 5) / (4.0 * k * _p(k + 1.5, 4)),
+        -3: lambda k: _p(k + 4, 3) / (4.0 * (k + 2) * _p(k + 2.5, 3)),
+    }),
+)
+
+PRINTED_D2 = (
+    ("B2", 5, {0: _r}),
+    ("G4", 4, {
+        0: lambda k: _r(k) / (2.0 * _p(k + 2.5, 2)),
+        1: lambda k: 3.0 * _p(k + 1, 3) * (k + 5) / (2 * k + 7),
+        -1: lambda k: -3.0 * _p(k + 2, 5) / ((k + 3) * (2 * k + 7)),
+    }),
+    ("G3", 3, {
+        0: lambda k: _r(k) / (2.0 * _p(k + 2.5, 2)),
+        1: lambda k: -3.0 * _p(k + 1, 3) * (k + 5) / (2.0 * _p(k + 2.5, 3)),
+        2: lambda k: -3.0 * _p(k + 1, 4) / (4.0 * _p(k + 3.5, 2)),
+        -1: lambda k: 3.0 * (k + 2) * _p(k + 4, 3) / (2.0 * _p(k + 2.5, 3)),
+        -2: lambda k: -3.0 * _p(k + 4, 4) / (4.0 * _p(k + 3.5, 2)),
+    }),
+    ("G2", 2, {
+        0: lambda k: 3.0 * _r(k) / (4.0 * _p(k + 1.5, 4)),
+        1: lambda k: 9.0 * _p(k + 1, 3) * (k + 5) / (8.0 * _p(k + 2.5, 3)),
+        2: lambda k: -9.0 * _p(k + 1, 4) / (8.0 * _p(k + 2.5, 4)),
+        3: lambda k: -3.0 * _p(k + 1, 5) / (8.0 * (k + 6) * _p(k + 3.5, 3)),
+        -1: lambda k: -9.0 * (k + 2) * _p(k + 4, 3) / (8.0 * _p(k + 2.5, 3)),
+        -2: lambda k: -9.0 * _p(k + 4, 4) / (8.0 * _p(k + 2.5, 4)),
+        -3: lambda k: 3.0 * _p(k + 4, 5) / (8.0 * (k + 3) * _p(k + 3.5, 3)),
+    }),
+    ("G1", 1, {
+        0: lambda k: 3.0 * _r(k) / (8.0 * _p(k + 1.5, 4)),
+        1: lambda k: -9.0 * _p(k + 1, 3) * (k + 5) / (4.0 * _p(k + 1.5, 5)),
+        2: lambda k: -3.0 * _p(k + 1, 4) / (4.0 * _p(k + 2.5, 4)),
+        3: lambda k: 3.0 * _p(k + 1, 5) / (4.0 * (k + 6) * _p(k + 2.5, 5)),
+        4: lambda k: 3.0 * _p(k + 1, 5) / (16.0 * (k + 7) * _p(k + 3.5, 4)),
+        -1: lambda k: 9.0 * (k + 2) * _p(k + 4, 3) / (4.0 * _p(k + 1.5, 5)),
+        -2: lambda k: -3.0 * _p(k + 4, 4) / (4.0 * _p(k + 2.5, 4)),
+        -3: lambda k: -3.0 * _p(k + 4, 5) / (4.0 * (k + 3) * _p(k + 2.5, 5)),
+        -4: lambda k: 3.0 * _p(k + 5, 5) / (16.0 * (k + 3) * _p(k + 3.5, 4)),
+    }),
+    ("G0", 0, {
+        0: lambda k: 15.0 * _r(k) / (16.0 * _p(k + 0.5, 6)),
+        1: lambda k: 15.0 * _p(k + 1, 3) * (k + 5) / (16.0 * _p(k + 1.5, 5)),
+        2: lambda k: -15.0 * _p(k + 1, 4) / (8.0 * _p(k + 1.5, 6)),
+        3: lambda k: -15.0 * _p(k + 1, 5) / (32.0 * (k + 6) * _p(k + 2.5, 5)),
+        4: lambda k: 15.0 * _p(k + 1, 5) / (32.0 * (k + 7) * _p(k + 2.5, 6)),
+        5: lambda k: 3.0 * _p(k + 1, 5) / (32.0 * (k + 8) * _p(k + 3.5, 5)),
+        -1: lambda k: -15.0 * (k + 2) * _p(k + 4, 3) / (16.0 * _p(k + 1.5, 5)),
+        -2: lambda k: -15.0 * _p(k + 4, 4) / (8.0 * _p(k + 1.5, 6)),
+        -3: lambda k: 15.0 * _p(k + 4, 5) / (32.0 * (k + 3) * _p(k + 2.5, 5)),
+        -4: lambda k: 15.0 * _p(k + 5, 5) / (32.0 * (k + 3) * _p(k + 2.5, 6)),
+        -5: lambda k: -3.0 * _p(k + 6, 5) / (32.0 * (k + 3) * _p(k + 3.5, 5)),
+    }),
+)
 
 
 def _compare_printed(order: int) -> list[str]:
     """Printed per-block entries vs the oracle blocks; returns mismatch lines."""
-    if order == 3:
-        printed = _printed_third()
-        blocks = {"B1": None, "E2": 2, "E1": 1, "E0": 0}
-        zeros, N = (0.0, 0.0, 0.0), 16
-    else:
-        printed = _printed_fifth()
-        blocks = {"B2": None, "G4": 4, "G3": 3, "G2": 2, "G1": 1, "G0": 0}
-        zeros, N = (0.0,) * 5, 16
+    zeros, N = (0.0,) * order_spec(order).n_coefficients, 16
     base = operator_oracle_matrix(order, zeros, N)
     dim = base.shape[0]
     mismatches: list[str] = []
-    for name, slot in blocks.items():
-        if slot is None:
+    for name, q, formulas in CHECKS[order].printed_entries:
+        if q == order:
             oracle_block = base
         else:
+            # coefficients weigh D^(order-1) first, D^0 last
             coeffs = list(zeros)
-            coeffs[{3: {2: 0, 1: 1, 0: 2}, 5: {4: 0, 3: 1, 2: 2, 1: 3, 0: 4}}[order][slot]] = 1.0
+            coeffs[order - 1 - q] = 1.0
             oracle_block = operator_oracle_matrix(order, tuple(coeffs), N) - base
-        for offset, formula in printed[name].items():
+        for offset, formula in formulas.items():
             for k in range(dim - abs(offset)):
                 i, j = (k, k + offset) if offset >= 0 else (k - offset, k)
                 want = _safe(formula, k)
@@ -653,7 +592,7 @@ def _compare_printed(order: int) -> list[str]:
 
 def suite_tabulated_entry_formulas() -> SuiteResult:
     """Tabulated closed-form entries vs the oracle (informational)."""
-    lines = _compare_printed(3) + _compare_printed(5)
+    lines = [line for order in CHECKS for line in _compare_printed(order)]
     if lines:
         shown = "; ".join(lines[:6])
         more = f" (+{len(lines) - 6} more of the same pattern)" if len(lines) > 6 else ""
@@ -671,17 +610,15 @@ def suite_tabulated_entry_formulas() -> SuiteResult:
 
 def suite_printed_lift_factors() -> SuiteResult:
     """Printed nonhomogeneous rhs multipliers vs the exact projection."""
-    printed3 = (1.0, 6.0 / 5.0, 10.0 / 7.0)
-    exact3 = tuple(order_spec(3).mono_to_test[d][d] for d in range(3))
-    printed5 = (1.0, 8.0 / 7.0, 4.0 / 3.0, 50.0 / 33.0, 238.0 / 143.0)
-    exact5 = tuple(order_spec(5).mono_to_test[d][d] for d in range(5))
     lines = []
-    for d, (a, b) in enumerate(zip(printed3, exact3)):
-        if abs(a - b) > 1e-12:
-            lines.append(f"order 3 degree {d}: printed {a:.6g} vs projection {b:.6g}")
-    for d, (a, b) in enumerate(zip(printed5, exact5)):
-        if abs(a - b) > 1e-12:
-            lines.append(f"order 5 degree {d}: printed {a:.6g} vs projection {b:.6g}")
+    for order, checks in CHECKS.items():
+        table = order_spec(order).mono_to_test
+        for d, a in enumerate(checks.printed_lift_factors):
+            b = table[d][d]
+            if abs(a - b) > 1e-12:
+                lines.append(
+                    f"order {order} degree {d}: printed {a:.6g} vs projection {b:.6g}"
+                )
     detail = (
         "printed diagonal multipliers differ from the exact projection "
         "(projection validated by the two-path suite): " + "; ".join(lines)
@@ -696,21 +633,60 @@ def suite_printed_lift_factors() -> SuiteResult:
     )
 
 
+_GRID = np.linspace(-1.0, 1.0, 5)
+
+CHECKS: dict[int, OrderChecks] = {
+    3: OrderChecks(
+        word="third",
+        coeff_sets=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 3.0, 4.0)),
+        oracle_sizes=(8, 15, 24),
+        expansion_kmax=15,
+        band_coeffs=(1.0, 2.0, 3.0),
+        manufactured_N=16,
+        lift_samples=tuple(product(_GRID, _GRID[::2], _GRID[::2])),
+        two_path=((1.5, -0.5, 2.0), (0.3, -0.2, 0.7), 14),
+        ceilings=(21, 13),
+        printed_entries=PRINTED_D1,
+        printed_lift_factors=(1.0, 6.0 / 5.0, 10.0 / 7.0),
+    ),
+    5: OrderChecks(
+        word="fifth",
+        coeff_sets=(
+            (0.0, 0.0, 0.0, 0.0, 0.0),
+            (1.0, 1.0, 1.0, 1.0, 1.0),
+            (2.0, 3.0, 4.0, 5.0, 6.0),
+        ),
+        oracle_sizes=(10, 17, 24),
+        expansion_kmax=12,
+        band_coeffs=(1.0,) * 5,
+        manufactured_N=18,
+        lift_samples=tuple(
+            map(tuple, np.random.default_rng(77).uniform(-1.0, 1.0, (40, 5)))
+        ),
+        two_path=((1.0, 0.5, -1.0, 2.0, 0.25), (0.3, -0.2, 0.7, 0.1, -0.4), 16),
+        ceilings=(55, 21),
+        printed_entries=PRINTED_D2,
+        printed_lift_factors=(1.0, 8.0 / 7.0, 4.0 / 3.0, 50.0 / 33.0, 238.0 / 143.0),
+    ),
+}
+
+
+def _per_order(suite):
+    return tuple(partial(suite, order) for order in CHECKS)
+
+
 SUITES = (
     suite_quadrature_exactness,
     suite_orthogonality,
     suite_endpoint_normalization,
     suite_shift_identities,
     suite_derivative_finite_difference,
-    suite_third_derivative_identity,
-    suite_fifth_derivative_identity,
-    suite_expansion_third,
-    suite_expansion_fifth,
+    *_per_order(suite_derivative_identity),
+    *_per_order(suite_expansions),
     suite_legendre_expansions,
     suite_boundary_vanishing,
     suite_duality,
-    suite_oracle_equivalence_third,
-    suite_oracle_equivalence_fifth,
+    *_per_order(suite_oracle_equivalence),
     suite_band_structure,
     suite_manufactured_coefficients,
     suite_lift_reconstruction,

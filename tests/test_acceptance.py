@@ -9,15 +9,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from dualpg.analysis import (
-    condition_diagonal,
-    condition_full,
-    max_pointwise_error,
-    solve_fifth,
-    solve_third,
-)
+from dualpg import solve_diagonal_fifth, solve_diagonal_third, solve_fifth, solve_third
+from dualpg.analysis import condition_diagonal, condition_full, max_pointwise_error
 from dualpg.assembly import operator_matrix
-from dualpg.banded import lu_factor_banded, solve_diagonal_fifth, solve_diagonal_third
+from dualpg.banded import lu_factor_banded
 from dualpg.families import make_family
 
 TABLE_N_GRID = (16, 20, 24, 28, 32, 36, 40)

@@ -10,16 +10,13 @@ from dualpg.analysis import (
     evaluate_solution,
     max_pointwise_error,
     residual_norm,
-    solve_fifth,
-    solve_third,
 )
+from dualpg import assemble_third, lift_third, solve_fifth, solve_third
 from dualpg.assembly import (
     FifthOrderBC,
     FifthOrderProblem,
     LiftPolynomial,
     ThirdOrderProblem,
-    assemble_third,
-    lift_third,
     operator_matrix,
     ThirdOrderBC,
 )
@@ -304,3 +301,48 @@ class TestSolveDrivers:
         sol5 = solve_fifth(p5, 5)
         assert sol5.coefficients.shape == (1,)
         assert condition_full(3, 3).cond == 1.0
+
+
+class TestPerOrderNames:
+    """The `_third`/`_fifth` names that perfbench and the README call."""
+
+    @pytest.mark.parametrize("order,word,problem", [
+        (3, "third", make_family(3, m=2.0).third_order_problem((2.0, 3.0, 4.0))),
+        (5, "fifth", FifthOrderProblem(
+            1.0, 0.5, -1.0, 2.0, 0.25, rhs=np.cosh,
+            bc=FifthOrderBC(0.3, -0.2, 0.7, 0.1, -0.4),
+        )),
+    ], ids=["order3", "order5"])
+    def test_bitwise_equal_to_general_route(self, order, word, problem):
+        import dualpg
+
+        def alias(stem):
+            return getattr(dualpg, f"{stem}_{word}")
+
+        def same(a, b):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        N = 16
+        assert same(alias("solve")(problem, N).coefficients,
+                    dualpg.solve(problem, N).coefficients)
+        system, general = alias("assemble")(problem, N), dualpg.assemble(problem, N)
+        assert same(system.matrix.data, general.matrix.data)
+        assert same(system.rhs, general.rhs)
+        assert same(alias("rhs_projection")(problem.rhs, N),
+                    dualpg.rhs_projection(order, problem.rhs, N))
+        assert same(alias("lift")(problem.bc).coefficients,
+                    dualpg.boundary_lift(problem.bc).coefficients)
+        assert not dualpg.boundary_lift(problem.bc).is_zero
+        fstar = np.linspace(-1.0, 1.0, N - (order - 1))
+        assert same(alias("solve_diagonal")(fstar), dualpg.solve_diagonal(order, fstar))
+
+    def test_family_problem_names(self):
+        family = make_family(3, m=2.0)
+        coeffs = (2.0, 3.0, 4.0)
+        named, general = family.third_order_problem(coeffs), family.problem(coeffs)
+        assert named.coefficients == general.coefficients and named.bc == general.bc
+        x = np.linspace(-1.0, 1.0, 9)
+        assert named.rhs(x).tobytes() == general.rhs(x).tobytes()
+        fifth = make_family(2, m=1.0)
+        assert fifth.fifth_order_problem((1.0,) * 5).coefficients == (1.0,) * 5

@@ -4,28 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualpg import (
+    assemble_fifth,
+    assemble_third,
+    lift_fifth,
+    lift_third,
+    rhs_projection_fifth,
+    rhs_projection_third,
+)
 from dualpg.assembly import (
     FifthOrderBC,
     FifthOrderProblem,
     LiftPolynomial,
     ThirdOrderBC,
     ThirdOrderProblem,
-    assemble_fifth,
-    assemble_third,
-    fifth_expansion,
     lift_correction_polynomial,
-    lift_fifth,
-    lift_third,
     modified_rhs,
     operator_entry_oracle,
     operator_matrix,
     operator_oracle_matrix,
     rhs_projection,
-    rhs_projection_fifth,
-    rhs_projection_third,
-    third_expansion,
 )
-from dualpg.gjp import dual_params
 from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h
 from dualpg.orders import order_spec
 
@@ -75,13 +74,27 @@ class TestOperatorMatrix:
             operator_matrix(order, coeffs, 16)
 
     def test_expansion_tables_self_truncate(self):
-        for q in range(4):
-            assert all(i >= 0 for i in third_expansion(q, 0))
-        for q in range(6):
-            assert all(i >= 0 for i in fifth_expansion(q, 0))
+        # every coefficient of a row k + d < 0 is an exact zero, so the
+        # filter callers apply drops nothing but those zeros
+        ks = np.arange(8)
+        for order in (3, 5):
+            table = order_spec(order).expansion_table
+            for q in range(order + 1):
+                for k in range(8):
+                    for d, c in table(q, k).items():
+                        if k + d < 0:
+                            assert c == 0.0, (order, q, k, d)
+                for d, c in table(q, ks).items():
+                    assert np.all(np.asarray(c)[ks + d < 0] == 0.0), (order, q, d)
 
 
-SCALAR_EXPANSION = {3: third_expansion, 5: fifth_expansion}
+def scalar_expansion(order, q, j):
+    """{row: coefficient} of column j from the table at an int j, nonzeros only."""
+    return {
+        j + d: c for d, c in order_spec(order).expansion_table(q, j).items()
+        if j + d >= 0 and c != 0.0
+    }
+
 # coefficient sets per order, zeros included: a zero weight skips its table
 BITWISE_COEFFS = {
     3: ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.0), (-3.7, 0.0, 2.9),
@@ -92,7 +105,7 @@ BITWISE_COEFFS = {
 
 
 def reference_operator_data(order, coefficients, N):
-    """Band data assembled entry by entry from the scalar expansion view."""
+    """Band data assembled entry by entry from the table at each int column."""
     spec = order_spec(order)
     dim = spec.dimension(N)
     band = min(spec.bandwidth, dim - 1)
@@ -101,7 +114,7 @@ def reference_operator_data(order, coefficients, N):
         for q, w in spec.weights(coefficients).items():
             if w == 0.0:
                 continue
-            for i, c in SCALAR_EXPANSION[order](q, j).items():
+            for i, c in scalar_expansion(order, q, j).items():
                 if i < dim:
                     data[band + i - j, j] = float(data[band + i - j, j]) + w * c
     return data
@@ -119,7 +132,7 @@ class TestVectorisedAssembly:
                     j + d: float(c[j]) for d, c in table.items()
                     if j + d >= 0 and c[j] != 0.0
                 }
-                scalar = SCALAR_EXPANSION[order](q, j)
+                scalar = scalar_expansion(order, q, j)
                 assert list(from_table) == list(scalar), (q, j)
                 for i, c in scalar.items():
                     assert np.float64(c).tobytes() == np.float64(from_table[i]).tobytes()
@@ -164,7 +177,7 @@ class TestOperatorOracle:
         assembled = operator_matrix(order, coeffs, N).to_dense()
         oracle = operator_oracle_matrix(order, coeffs, N)
         hk = np.array(
-            [norm_h(dual_params(order), k) for k in range(oracle.shape[0])]
+            [norm_h(order_spec(order).test_params, k) for k in range(oracle.shape[0])]
         )
         dev = np.abs(assembled - oracle) * hk[:, None]
         oracle_m = np.abs(oracle) * hk[:, None]

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpg import banded
+from dualpg import banded, solve_diagonal_fifth, solve_diagonal_third
 from dualpg.banded import (
     BandedMatrix,
     SingularMatrixError,
     diagonal_fifth_from_moments,
     diagonal_third_from_moments,
     lu_factor_banded,
-    solve_diagonal_fifth,
-    solve_diagonal_third,
 )
 
 

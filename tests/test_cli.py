@@ -1,6 +1,10 @@
 """CLI behaviour: table content, artifacts, exit codes, byte stability."""
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,34 @@ import pytest
 import dualpg.assembly as assembly
 from dualpg.cli import RunConfig, main, run_solve, run_table
 from dualpg.orders import order_spec
-from dualpg.verify import suite_oracle_equivalence_third
+from dualpg.verify import suite_oracle_equivalence
+
+# (suite, tolerance) of every verify.csv row, in report order
+VERIFY_LAYOUT = [
+    ("quadrature-exactness", "1e-12"),
+    ("orthogonality", "1e-11"),
+    ("endpoint-normalization", "1e-12"),
+    ("shift-identities", "1e-10"),
+    ("derivative-vs-finite-difference", "1e-05"),
+    ("third-derivative-identity", "1e-09"),
+    ("fifth-derivative-identity", "1e-09"),
+    ("derivative-expansions-third", "1e-09"),
+    ("derivative-expansions-fifth", "1e-09"),
+    ("legendre-expansions", "1e-11"),
+    ("boundary-vanishing", "1e-10"),
+    ("trial-test-duality", "1e-09"),
+    ("oracle-equivalence-order3", "1"),
+    ("oracle-equivalence-order5", "1"),
+    ("band-structure", "1e-11"),
+    ("manufactured-coefficients", "1e-10"),
+    ("lift-reconstruction", "1e-12"),
+    ("modified-rhs-two-path", "1e-11"),
+    ("diagonal-fast-paths", "1e-13"),
+    ("lu-reconstruction", "1e-12"),
+    ("operation-counts", "1"),
+    ("tabulated-entry-formulas", ""),
+    ("printed-lift-factors", ""),
+]
 
 
 def read_csv(path):
@@ -218,23 +249,53 @@ class TestVerifyCommand:
         assert "E0[" in detail
         assert "printed=" in detail and "oracle=" in detail
 
-    def test_mutated_assembly_fails_naming_entry(self, monkeypatch):
-        original = order_spec(3).expansion_table
+    @staticmethod
+    def flip_q0_diagonal(monkeypatch, order):
+        """Flip the sign of offset 0 of the q = 0 table (E0 or G0 diagonal)."""
+        spec = order_spec(order)
+        original = spec.expansion_table
 
         def flipped(q, k):
             out = original(q, k)
             if q == 0:
                 out = dict(out)
-                out[0] = -out[0]  # sign flip on the E0 diagonal
+                out[0] = -out[0]
             return out
 
-        monkeypatch.setattr(order_spec(3), "expansion_table", flipped)
-        result = suite_oracle_equivalence_third()
+        monkeypatch.setattr(spec, "expansion_table", flipped)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_mutated_assembly_fails_naming_entry(self, monkeypatch, order):
+        self.flip_q0_diagonal(monkeypatch, order)
+        result = suite_oracle_equivalence(order)
+        assert result.name == f"oracle-equivalence-order{order}"
         assert not result.passed
         match = re.search(r"worst entry \((\d+), (\d+)\)", result.detail)
         assert match is not None
         assert match.group(1) == match.group(2)
         assert "assembled=" in result.detail and "oracle=" in result.detail
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_mutated_assembly_exits_3(self, monkeypatch, tmp_path, order):
+        self.flip_q0_diagonal(monkeypatch, order)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--out", str(out)]) == 3
+        status = {r[0]: r[1] for r in read_csv(out)[1:]}
+        assert status[f"oracle-equivalence-order{order}"] == "FAIL"
+
+    def test_reproduce_script_report_layout(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run(
+            [sys.executable, str(root / "scripts" / "reproduce_tables.py"),
+             "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        names = [f"table{i}.csv" for i in range(1, 6)] + ["verify.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        rows = read_csv(tmp_path / "verify.csv")
+        assert rows[0] == ["suite", "status", "max_deviation", "tolerance", "detail"]
+        assert [(r[0], r[3]) for r in rows[1:]] == VERIFY_LAYOUT
 
 
 class TestRunConfigApi:

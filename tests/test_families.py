@@ -38,12 +38,12 @@ class TestFamilyOne:
     def test_homogeneous_boundary_data(self):
         for j, m in ((0, 1), (1, 1), (1, 2), (2, 1)):
             family = make_family(1, j=j, m=m)
-            bc = family.bc_third()
+            bc = family.bc()
             assert bc.is_homogeneous
 
     def test_rhs_matches_difference_quotients(self):
         family = make_family(1, j=1, m=1)
-        rhs = family.rhs_third((2.0, 3.0, 4.0))
+        rhs = family.rhs((2.0, 3.0, 4.0))
         x = np.linspace(-0.8, 0.8, 7)
         h = 1e-4
         u = family.exact
@@ -69,7 +69,7 @@ class TestFamilyTwo:
 
     def test_all_five_conditions_homogeneous(self):
         family = make_family(2, m=2.5)
-        bc = family.bc_fifth()
+        bc = family.bc()
         assert bc.is_homogeneous
         # derivative multiplicities at the endpoints
         assert family.derivative(2)(1.0) == pytest.approx(0.0, abs=1e-12)
@@ -77,8 +77,8 @@ class TestFamilyTwo:
 
     def test_rhs_uses_all_coefficients(self):
         family = make_family(2, m=1.0)
-        base = family.rhs_fifth((0.0,) * 5)
-        shifted = family.rhs_fifth((0.0, 0.0, 0.0, 0.0, 1.0))
+        base = family.rhs((0.0,) * 5)
+        shifted = family.rhs((0.0, 0.0, 0.0, 0.0, 1.0))
         x = np.linspace(-0.9, 0.9, 5)
         assert np.max(np.abs(shifted(x) - base(x) - family.exact(x))) < 1e-12
 
@@ -86,7 +86,7 @@ class TestFamilyTwo:
 class TestFamilyThree:
     def test_boundary_data(self):
         family = make_family(3, m=2.0)
-        bc = family.bc_third()
+        bc = family.bc()
         assert bc.a_minus == pytest.approx(-np.sinh(2.0), rel=1e-15)
         assert bc.a_plus == pytest.approx(np.sinh(2.0), rel=1e-15)
         assert bc.a1_plus == pytest.approx(2.0 * np.cosh(2.0), rel=1e-15)
@@ -94,7 +94,7 @@ class TestFamilyThree:
     def test_rhs_cancellation_for_unit_coefficients(self):
         # u''' - u'' - u' + u vanishes identically for u = sinh(x)
         family = make_family(3, m=1.0)
-        rhs = family.rhs_third((1.0, 1.0, 1.0))
+        rhs = family.rhs((1.0, 1.0, 1.0))
         x = np.linspace(-1, 1, 9)
         assert np.max(np.abs(rhs(x))) < 1e-14
 
