@@ -3,7 +3,8 @@
 
 Factors D1 (bandwidth 3) and D2 (bandwidth 5) with all-ones coefficients
 across a range of truncations and reports counted totals next to the
-21(N-2) / 13(N-2) and 55(N-4) / 21(N-4) ceilings.
+21(N-2) / 13(N-2) and 55(N-4) / 21(N-4) ceilings, read from the
+verification suite's per-order checks (`dualpg.verify.CHECKS`).
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from dualpg.assembly import operator_matrix
 from dualpg.banded import lu_factor_banded
 from dualpg.orders import order_spec
+from dualpg.verify import CHECKS
 
 
 def main() -> None:
@@ -26,7 +28,8 @@ def main() -> None:
 
     print(f"{'order':>5} {'N':>5} {'n':>5} {'factor':>8} {'ceiling':>8} "
           f"{'solve':>7} {'ceiling':>8} {'factor/n':>9}")
-    for order, cf, cs in ((3, 21, 13), (5, 55, 21)):
+    for order, checks in CHECKS.items():
+        cf, cs = checks.ceilings
         coeffs = (1.0,) * order_spec(order).n_coefficients
         for N in args.sizes:
             matrix = operator_matrix(order, coeffs, N)

@@ -29,7 +29,6 @@ from .assembly import (
     assemble,
     boundary_lift,
     modified_rhs,
-    operator_entry_oracle,
     rhs_projection,
 )
 from .banded import (
@@ -40,7 +39,7 @@ from .banded import (
     solve_diagonal,
 )
 from .families import ExampleFamily, make_family
-from .gjp import BasisFamily, GJPIndex, eval_J, eval_phi, eval_psi, legendre_expansion_J
+from .gjp import GJPIndex, eval_J, eval_phi, eval_psi, legendre_expansion_J
 from .jacobi import (
     ConvergenceError,
     JacobiParams,
@@ -55,10 +54,28 @@ from .orders import OrderSpec, order_spec
 
 __version__ = "0.1.0"
 
+
+def _pinned(route, order, name):
+    """`route` under the per-order `name`, refusing records of the other order."""
+
+    def pinned(record, *args, **kwargs):
+        if record.order != order:
+            raise ValueError(f"{name} takes an order-{order} record, "
+                             f"got a {type(record).__name__}")
+        return route(record, *args, **kwargs)
+
+    pinned.__name__ = pinned.__qualname__ = name
+    pinned.__doc__ = route.__doc__
+    return pinned
+
+
 # per-order names of the general route, defined here and nowhere else
-solve_third = solve_fifth = solve
-assemble_third = assemble_fifth = assemble
-lift_third = lift_fifth = boundary_lift
+solve_third = _pinned(solve, 3, "solve_third")
+solve_fifth = _pinned(solve, 5, "solve_fifth")
+assemble_third = _pinned(assemble, 3, "assemble_third")
+assemble_fifth = _pinned(assemble, 5, "assemble_fifth")
+lift_third = _pinned(boundary_lift, 3, "lift_third")
+lift_fifth = _pinned(boundary_lift, 5, "lift_fifth")
 rhs_projection_third = partial(rhs_projection, 3)
 rhs_projection_fifth = partial(rhs_projection, 5)
 solve_diagonal_third = partial(solve_diagonal, 3)

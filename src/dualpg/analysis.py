@@ -48,7 +48,6 @@ __all__ = [
     "residual_norm",
     "condition_diagonal",
     "condition_full",
-    "diagonal_entries",
 ]
 
 ERROR_GRID_POINTS = 1001
@@ -116,7 +115,6 @@ def solve(problem, N: int) -> SpectralSolution:
     return solve_system(problem, N, assemble(problem, N))
 
 
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Extreme eigenvalues / singular values and the condition number.
@@ -138,8 +136,8 @@ class ConditionReport:
     eig_max: float
     cond: float
     cond_over_power: float
-    sigma_min: float | None = None
-    sigma_max: float | None = None
+    sigma_min: float
+    sigma_max: float
 
 
 def _report(
@@ -153,15 +151,10 @@ def _report(
     )
 
 
-def diagonal_entries(order: int, N: int) -> np.ndarray:
-    """Diagonal of B1 (order 3) or B2 (order 5) at truncation N."""
-    spec = order_spec(order)
-    return spec.diagonal(np.arange(spec.dimension(N)))
-
-
 def condition_diagonal(order: int, N: int) -> ConditionReport:
     """Condition number of the diagonal block B1 or B2."""
-    diag = diagonal_entries(order, N)
+    spec = order_spec(order)
+    diag = spec.diagonal(np.arange(spec.dimension(N)))
     if diag.size == 0:
         raise ValueError(f"N = {N} gives an empty system for order {order}")
     eig_min, eig_max = float(diag[0]), float(diag[-1])

@@ -62,7 +62,6 @@ __all__ = [
     "boundary_lift",
     "lift_correction_polynomial",
     "modified_rhs",
-    "operator_entry_oracle",
     "operator_oracle_matrix",
 ]
 
@@ -102,11 +101,10 @@ class BandSystem:
 
     matrix: BandedMatrix
     rhs: np.ndarray
-    dimension: int
     order: int
 
     def __post_init__(self) -> None:
-        if len(self.rhs) != self.dimension or self.matrix.n != self.dimension:
+        if len(self.rhs) != self.matrix.n:
             raise ValueError("system dimension mismatch")
 
 
@@ -205,11 +203,9 @@ def rhs_projection(order: int, rhs: Callable, N: int) -> np.ndarray:
     return _projection(rhs, N, spec.test_params, spec.dimension(N))
 
 
-
 def boundary_lift(bc) -> LiftPolynomial:
     """Lift of degree 2m turning the boundary data `bc` homogeneous."""
     return LiftPolynomial(order=bc.order, coefficients=order_spec(bc.order).lift(bc))
-
 
 
 def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.ndarray:
@@ -254,35 +250,18 @@ def assemble(problem, N: int) -> BandSystem:
     rhs = rhs_projection(order, problem.rhs, N)
     if not problem.bc.is_homogeneous:
         rhs = modified_rhs(order, boundary_lift(problem.bc), rhs, problem)
-    return BandSystem(
-        matrix=matrix, rhs=rhs, dimension=order_spec(order).dimension(N), order=order
-    )
-
-
-
-def operator_entry_oracle(order: int, coefficients, j: int, k: int, N: int) -> float:
-    """Ground-truth matrix entry (L phi_j, psi_k) / h_k by unit-weight Gauss.
-
-    Independent of the closed-form tables: phi derivatives come from the
-    exact product rule and the integral from a Gauss-Legendre rule sized
-    N + 16 (the integrand is a polynomial of degree <= 2N + 1).  The sum is
-    compensated, since the 1/h_k normalization amplifies rounding noise at
-    high degree.
-    """
-    spec = order_spec(order)
-    weights = spec.weights(coefficients)
-    rule = gauss_jacobi_rule(JacobiParams(0.0, 0.0), N + 16)
-    x = rule.nodes
-    lphi = np.zeros_like(x)
-    for q, w in weights.items():
-        if w != 0.0:
-            lphi += w * eval_phi(order, j, x, q)
-    integrand = rule.weights * lphi * eval_psi(order, k, x)
-    return math.fsum(integrand) / norm_h(spec.test_params, k)
+    return BandSystem(matrix=matrix, rhs=rhs, order=order)
 
 
 def operator_oracle_matrix(order: int, coefficients, N: int) -> np.ndarray:
-    """Dense oracle matrix, every entry from operator_entry_oracle's route."""
+    """Dense ground-truth matrix: entry [k, j] is (L phi_j, psi_k) / h_k.
+
+    Independent of the closed-form tables: phi derivatives come from the
+    exact product rule and each integral from a unit-weight Gauss-Legendre
+    rule sized N + 16 (the integrand is a polynomial of degree <= 2N + 1).
+    Each sum is compensated, since the 1/h_k normalization amplifies
+    rounding noise at high degree.
+    """
     spec = order_spec(order)
     dim = spec.dimension(N)
     weights = spec.weights(coefficients)

@@ -43,8 +43,6 @@ __all__ = [
     "BandedLU",
     "lu_factor_banded",
     "solve_diagonal",
-    "diagonal_third_from_moments",
-    "diagonal_fifth_from_moments",
 ]
 
 PIVOT_FLOOR = 1e-300
@@ -58,14 +56,13 @@ class SingularMatrixError(ArithmeticError):
 class OpCount:
     """Tally of scalar arithmetic operations."""
 
-    additions: int = 0
     subtractions: int = 0
     multiplications: int = 0
     divisions: int = 0
 
     @property
     def total(self) -> int:
-        return self.additions + self.subtractions + self.multiplications + self.divisions
+        return self.subtractions + self.multiplications + self.divisions
 
 
 @dataclass
@@ -130,9 +127,6 @@ class BandedMatrix:
             i = np.arange(max(0, -d), min(self.n, self.n - d))
             out[i, i + d] = self.data[self.q - d, i + d]
         return out
-
-    def copy(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.p, self.q, self.data.copy())
 
 
 def _sweep_trips(n: int, w: int) -> int:
@@ -360,17 +354,3 @@ def solve_diagonal(order: int, fstar: np.ndarray) -> np.ndarray:
     fstar = np.asarray(fstar, dtype=float)
     return fstar / order_spec(order).diagonal(np.arange(fstar.size))
 
-
-
-def diagonal_third_from_moments(f: np.ndarray) -> np.ndarray:
-    """Explicit route a_k = (k+2)/16 f_k from the unnormalized moments."""
-    f = np.asarray(f, dtype=float)
-    k = np.arange(f.size)
-    return (k + 2) / 16.0 * f
-
-
-def diagonal_fifth_from_moments(f: np.ndarray) -> np.ndarray:
-    """Explicit route a_k = (k+3)/384 f_k from the unnormalized moments."""
-    f = np.asarray(f, dtype=float)
-    k = np.arange(f.size)
-    return (k + 3) / 384.0 * f

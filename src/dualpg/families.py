@@ -76,15 +76,10 @@ class TrigPolySum:
 class ExampleFamily:
     """A manufactured solution with exact derivatives and boundary data."""
 
-    family_id: int
     order: int
     exact: TrigPolySum
     derivatives: tuple[TrigPolySum, ...]  # exact, u', ..., u^(5)
-    label: str
     homogeneous: bool = False  # boundary data vanishes structurally
-
-    def derivative(self, q: int) -> TrigPolySum:
-        return self.derivatives[q]
 
     def rhs(self, coefficients):
         """Right-hand side L u of the family's order for these coefficients."""
@@ -115,14 +110,13 @@ class ExampleFamily:
 
 
 def _with_derivatives(
-    family_id: int, order: int, u: TrigPolySum, label: str, homogeneous: bool = False
+    order: int, u: TrigPolySum, homogeneous: bool = False
 ) -> ExampleFamily:
     chain = [u]
     for _ in range(5):
         chain.append(chain[-1].derivative())
     return ExampleFamily(
-        family_id=family_id, order=order, exact=u,
-        derivatives=tuple(chain), label=label, homogeneous=homogeneous,
+        order=order, exact=u, derivatives=tuple(chain), homogeneous=homogeneous
     )
 
 
@@ -140,18 +134,14 @@ def make_family(family_id: int, j: int | None = None, m: float | None = None) ->
         poly[j] = 1.0
         poly[j + 2] = -1.0  # (1 - x^2) x^j
         u = TrigPolySum(omega=int(m) * np.pi, terms=(("sin", tuple(poly)),))
-        return _with_derivatives(
-            1, 3, u, f"(1-x^2) x^{j} sin({int(m)} pi x)", homogeneous=True
-        )
+        return _with_derivatives(3, u, homogeneous=True)
     if family_id == 2:
         m = 1.0 if m is None else float(m)
         poly = (1.0, -1.0, -2.0, 2.0, 1.0, -1.0)  # (1-x^2)^2 (1-x)
         u = TrigPolySum(omega=m, terms=(("cosh", poly),))
-        return _with_derivatives(
-            2, 5, u, f"(1-x^2)^2 (1-x) cosh({m} x)", homogeneous=True
-        )
+        return _with_derivatives(5, u, homogeneous=True)
     if family_id == 3:
         m = 1.0 if m is None else float(m)
         u = TrigPolySum(omega=m, terms=(("sinh", (1.0,)),))
-        return _with_derivatives(3, 3, u, f"sinh({m} x)")
+        return _with_derivatives(3, u)
     raise ValueError(f"family_id must be 1, 2 or 3, got {family_id}")

@@ -3,7 +3,11 @@
 For l, m <= -1 the definition J_k^{(l,m)} = (1-x)^{-l} (1+x)^{-m}
 R_{k-k0}^{(-l,-m)} with k0 = -(l+m) builds the boundary behaviour
 D^i J(1) = 0 for i < -l and D^j J(-1) = 0 for j < -m directly into the
-basis.  The third- and fifth-order trial/test pairs used by the solver are
+basis.  A nonnegative index keeps no factor and enters R as it is, so
+`eval_J` reads (1-x)^{max(-l,0)} (1+x)^{max(-m,0)} R_{k-k0}^{(|l|,|m|)}
+for every sign, with k0 = max(-l,0) + max(-m,0).  The third- and
+fifth-order trial/test pairs used by the solver, `eval_phi` and
+`eval_psi`, are
 
     order 3:  phi_k = J_{k+3}^{(-2,-1)} = (1-x^2)(1-x)   R_k^{(2,1)}
               psi_k = J_{k+3}^{(-1,-2)} = (1-x^2)(1+x)   R_k^{(1,2)}
@@ -26,7 +30,6 @@ from .orders import order_spec
 
 __all__ = [
     "GJPIndex",
-    "BasisFamily",
     "eval_J",
     "eval_phi",
     "eval_psi",
@@ -45,35 +48,23 @@ class GJPIndex:
 
     @property
     def offset(self) -> int:
-        """Degree offset k0 of the matching piecewise branch."""
-        k0 = 0
-        if self.ell <= -1:
-            k0 -= self.ell
-        if self.m <= -1:
-            k0 -= self.m
-        return k0
+        """Degree offset k0: the sum of the negative indexes' magnitudes."""
+        return max(-self.ell, 0) + max(-self.m, 0)
 
 
 def eval_J(idx: GJPIndex, k: int, x):
-    """Piecewise-defined generalized Jacobi polynomial J_k^{(ell,m)}(x)."""
+    """Generalized Jacobi polynomial J_k^{(ell,m)}(x), one formula for any signs.
+
+    (1-x)^{max(-ell,0)} (1+x)^{max(-m,0)} R_{k-k0}^{(|ell|,|m|)}(x): a
+    negative index becomes a weight factor, a nonnegative one stays in R.
+    """
     k0 = idx.offset
     if k < k0:
         raise ValueError(f"J_k^{{({idx.ell},{idx.m})}} needs k >= {k0}, got {k}")
     arr = np.asarray(x, dtype=float)
     ell, m = idx.ell, idx.m
-    if ell <= -1 and m <= -1:
-        factor = (1.0 - arr) ** (-ell) * (1.0 + arr) ** (-m)
-        core = eval_R(JacobiParams(-ell, -m), k - k0, arr)
-    elif ell <= -1:
-        factor = (1.0 - arr) ** (-ell)
-        core = eval_R(JacobiParams(-ell, m), k - k0, arr)
-    elif m <= -1:
-        factor = (1.0 + arr) ** (-m)
-        core = eval_R(JacobiParams(ell, -m), k - k0, arr)
-    else:
-        factor = 1.0
-        core = eval_R(JacobiParams(ell, m), k, arr)
-    out = factor * core
+    factor = (1.0 - arr) ** max(-ell, 0) * (1.0 + arr) ** max(-m, 0)
+    out = factor * eval_R(JacobiParams(abs(ell), abs(m)), k - k0, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -105,38 +96,6 @@ def eval_psi(order: int, k: int, x):
         spec.test_params, k, arr
     )
     return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-@dataclass(frozen=True)
-class BasisFamily:
-    """One side (trial or test) of a dual Petrov-Galerkin basis."""
-
-    order: int
-    kind: str  # "trial" or "test"
-    truncation: int
-
-    def __post_init__(self) -> None:
-        order_spec(self.order)
-        if self.kind not in ("trial", "test"):
-            raise ValueError(f"kind must be 'trial' or 'test', got {self.kind!r}")
-        if self.truncation < self.order:
-            raise ValueError(
-                f"order {self.order} needs truncation N >= {self.order}, "
-                f"got {self.truncation}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return order_spec(self.order).dimension(self.truncation)
-
-    def eval(self, k: int, x, q: int = 0):
-        if not 0 <= k < self.dimension:
-            raise ValueError(f"basis index must be in 0..{self.dimension - 1}")
-        if self.kind == "trial":
-            return eval_phi(self.order, k, x, q)
-        if q != 0:
-            raise ValueError("test basis derivatives are not provided")
-        return eval_psi(self.order, k, x)
 
 
 def legendre_expansion_J(idx: GJPIndex, k: int) -> np.ndarray:

@@ -337,6 +337,23 @@ class TestPerOrderNames:
         fstar = np.linspace(-1.0, 1.0, N - (order - 1))
         assert same(alias("solve_diagonal")(fstar), dualpg.solve_diagonal(order, fstar))
 
+    @pytest.mark.parametrize("word,record", [
+        ("third", FifthOrderProblem(1.0, 1.0, 1.0, 1.0, 1.0, rhs=np.cosh)),
+        ("third", FifthOrderBC(0.3, -0.2, 0.7, 0.1, -0.4)),
+        ("fifth", ThirdOrderProblem(1.0, 1.0, 1.0, rhs=np.cosh)),
+        ("fifth", ThirdOrderBC(0.1, -0.2, 0.3)),
+    ], ids=["third-gets-5", "third-gets-5bc", "fifth-gets-3", "fifth-gets-3bc"])
+    def test_aliases_refuse_the_other_order(self, word, record):
+        import dualpg
+
+        stems = ("solve", "assemble") if hasattr(record, "rhs") else ("lift",)
+        for stem in stems:
+            alias = getattr(dualpg, f"{stem}_{word}")
+            assert alias.__name__ == f"{stem}_{word}"
+            args = (record, 16) if stem != "lift" else (record,)
+            with pytest.raises(ValueError, match=f"{stem}_{word} takes an order-"):
+                alias(*args)
+
     def test_family_problem_names(self):
         family = make_family(3, m=2.0)
         coeffs = (2.0, 3.0, 4.0)

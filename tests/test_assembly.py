@@ -20,7 +20,6 @@ from dualpg.assembly import (
     ThirdOrderProblem,
     lift_correction_polynomial,
     modified_rhs,
-    operator_entry_oracle,
     operator_matrix,
     operator_oracle_matrix,
     rhs_projection,
@@ -149,17 +148,18 @@ class TestVectorisedAssembly:
 class TestOperatorOracle:
     def test_diagonal_entry_from_duality(self):
         # (D^3 phi_2, psi_2) / h_2 = 2 * 3 * 5 = 30
-        got = operator_entry_oracle(3, (0.0, 0.0, 0.0), 2, 2, 12)
+        got = operator_oracle_matrix(3, (0.0, 0.0, 0.0), 12)[2, 2]
         assert got == pytest.approx(30.0, rel=1e-12)
 
     def test_fifth_order_corner(self):
-        got = operator_entry_oracle(5, (0.0,) * 5, 0, 0, 12)
+        got = operator_oracle_matrix(5, (0.0,) * 5, 12)[0, 0]
         assert got == pytest.approx(120.0, rel=1e-12)
 
     def test_outside_band_vanishes(self):
         scale = 6.0  # smallest diagonal of B1 anchors the zero tolerance
+        oracle = operator_oracle_matrix(3, (1.0, 1.0, 1.0), 12)
         for j, k in ((0, 4), (5, 1), (0, 7)):
-            got = operator_entry_oracle(3, (1.0, 1.0, 1.0), j, k, 12)
+            got = oracle[k, j]
             assert abs(got) < 1e-11 * scale
 
     @pytest.mark.parametrize(
@@ -348,14 +348,14 @@ class TestAssemble:
     def test_third_system_shape(self):
         problem = ThirdOrderProblem(1.0, 2.0, 3.0, rhs=np.cosh)
         system = assemble_third(problem, 12)
-        assert system.dimension == 10
+        assert system.matrix.n == 10
         assert system.order == 3
         assert system.matrix.p <= 3 and system.matrix.q <= 3
 
     def test_fifth_system_shape(self):
         problem = FifthOrderProblem(1.0, 1.0, 1.0, 1.0, 1.0, rhs=np.cosh)
         system = assemble_fifth(problem, 12)
-        assert system.dimension == 8
+        assert system.matrix.n == 8
         assert system.matrix.p <= 5
 
     def test_minimum_truncation(self):

@@ -123,6 +123,15 @@ class TestTables:
         main(["table1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["table1", "table2"])
+    def test_matches_golden_file(self, tmp_path, command):
+        # tests/data holds each table as the CLI wrote it; any change to a
+        # printed digit, row or column shows up as a byte difference
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(out)]) == 0
+        golden = Path(__file__).resolve().parent / "data" / f"{command}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["table1", "--order", "3", "--out", str(out)])

@@ -72,8 +72,8 @@ class TestFamilyTwo:
         bc = family.bc()
         assert bc.is_homogeneous
         # derivative multiplicities at the endpoints
-        assert family.derivative(2)(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert family.derivative(1)(-1.0) == pytest.approx(0.0, abs=1e-12)
+        assert family.derivatives[2](1.0) == pytest.approx(0.0, abs=1e-12)
+        assert family.derivatives[1](-1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_rhs_uses_all_coefficients(self):
         family = make_family(2, m=1.0)

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from dualpg.gjp import (
-    BasisFamily,
     GJPIndex,
     eval_J,
     eval_legendre_series,
@@ -41,6 +40,13 @@ class TestEvalJ:
         assert idx.offset == 2
         expect = (1 - 0.3) ** 2 * eval_R(JacobiParams(2.0, 1.0), 1, 0.3)
         assert eval_J(idx, 3, 0.3) == pytest.approx(expect, rel=1e-14)
+
+    def test_positive_ell_negative_m(self):
+        idx = GJPIndex(1, -3)
+        assert idx.offset == 3
+        x = np.linspace(-1.0, 1.0, 9)
+        expect = (1 + x) ** 3 * eval_R(JacobiParams(1.0, 3.0), 2, x)
+        assert np.allclose(eval_J(idx, 5, x), expect, rtol=1e-14, atol=1e-15)
 
     def test_classical_branch(self):
         idx = GJPIndex(1, 2)
@@ -151,24 +157,3 @@ class TestLegendreExpansions:
         with pytest.raises(ValueError):
             legendre_expansion_J(GJPIndex(-3, -2), 4)
 
-
-class TestBasisFamily:
-    def test_dimensions(self):
-        assert BasisFamily(3, "trial", 16).dimension == 14
-        assert BasisFamily(5, "test", 16).dimension == 12
-
-    def test_truncation_floor(self):
-        with pytest.raises(ValueError):
-            BasisFamily(3, "trial", 2)
-        with pytest.raises(ValueError):
-            BasisFamily(5, "trial", 4)
-
-    def test_eval_dispatch(self):
-        trial = BasisFamily(3, "trial", 10)
-        test = BasisFamily(3, "test", 10)
-        assert trial.eval(2, 0.3, 3) == eval_phi(3, 2, 0.3, 3)
-        assert test.eval(2, 0.3) == eval_psi(3, 2, 0.3)
-        with pytest.raises(ValueError):
-            test.eval(2, 0.3, 1)
-        with pytest.raises(ValueError):
-            trial.eval(8, 0.3)
