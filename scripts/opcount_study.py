@@ -18,13 +18,13 @@ from dualpg.orders import order_spec
 from dualpg.verify import CHECKS
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=[16, 32, 64, 128],
         help="truncations N to factor",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"{'order':>5} {'N':>5} {'n':>5} {'factor':>8} {'ceiling':>8} "
           f"{'solve':>7} {'ceiling':>8} {'factor/n':>9}")

@@ -21,17 +21,21 @@ def run(argv: list[str]) -> int:
     return code
 
 
+def write_tables(outdir: Path) -> int:
+    """Write table1.csv .. table5.csv and verify.csv; the worst exit code."""
+    worst = 0
+    for command in ("table1", "table2", "table3", "table4", "table5"):
+        worst = max(worst, run([command, "--out", str(outdir / f"{command}.csv")]))
+    return max(worst, run(["verify", "--out", str(outdir / "verify.csv")]))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="tables", help="output directory")
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    worst = 0
-    for command in ("table1", "table2", "table3", "table4", "table5"):
-        worst = max(worst, run([command, "--out", str(outdir / f"{command}.csv")]))
-    worst = max(worst, run(["verify", "--out", str(outdir / "verify.csv")]))
+    worst = write_tables(outdir)
     print(f"artifacts in {outdir}/")
     return worst
 

@@ -50,24 +50,9 @@ from .jacobi import (
     norm_h,
     pochhammer,
 )
-from .orders import OrderSpec, order_spec
+from .orders import OrderSpec, order_spec, pinned as _pinned
 
 __version__ = "0.1.0"
-
-
-def _pinned(route, order, name):
-    """`route` under the per-order `name`, refusing records of the other order."""
-
-    def pinned(record, *args, **kwargs):
-        if record.order != order:
-            raise ValueError(f"{name} takes an order-{order} record, "
-                             f"got a {type(record).__name__}")
-        return route(record, *args, **kwargs)
-
-    pinned.__name__ = pinned.__qualname__ = name
-    pinned.__doc__ = route.__doc__
-    return pinned
-
 
 # per-order names of the general route, defined here and nowhere else
 solve_third = _pinned(solve, 3, "solve_third")

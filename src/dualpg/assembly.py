@@ -11,12 +11,14 @@ D^q phi_j, w_q is the signed operator coefficient of D^q, and B is the
 diagonal block of the leading derivative: B1 + a1 E2 + b1 E1 + g1 E0 for
 order 3 and B2 + a2 G4 + b2 G3 + g2 G2 + d2 G1 + m2 G0 for order 5 in the
 paper's notation.  One route, `assemble(problem, N)`, builds either from
-the problem's `OrderSpec`; the expansion tables it reads were confirmed
+the problem's `OrderSpec`; the expansions it reads were confirmed
 entrywise against the quadrature oracle, and where the alternative
 tabulated entry formulas disagree with the oracle the verification report
-enumerates both values.  `operator_matrix` evaluates each table once over
-all columns and fills the band one diagonal at a time, a few dozen array
-operations for any N.
+enumerates both values.  `operator_matrix` fills the diagonal from the
+leading derivative, evaluates every weighted lower-order expansion row in
+one pass per block of columns (`OrderSpec.expansion_blocks`) and adds each
+derivative order's offsets into their contiguous band rows in one stacked
+update, about twenty array operations per block.
 
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
@@ -111,11 +113,16 @@ class BandSystem:
 def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     """Assemble D1 (order 3) or D2 (order 5) directly into band storage.
 
-    Each expansion table is evaluated once over all columns k = 0..dim-1,
-    and its offset-d coefficients (rows k + d) go into band row `band + d`
-    in one slice.  Weights are added in the spec's q order, so every entry
-    is summed in the same order as a column-by-column assembly would.  A
-    NaN or infinite coefficient raises ValueError naming its index.
+    The leading derivative fills the diagonal; one
+    `OrderSpec.expansion_blocks` pass then evaluates the weighted expansion
+    rows of every lower derivative order with a nonzero weight over a block
+    of columns whose tables take no more memory than the band storage, and
+    each order adds its offsets, which sit in contiguous band rows, in one
+    stacked update.  Orders are added in the spec's q order, so every entry
+    is summed in the same order as a column-by-column assembly would and
+    the matrix is bitwise the one the closed forms give entry by entry.
+    The slots of rows past the matrix end are cleared at the end.  A NaN or
+    infinite coefficient raises ValueError naming its index.
     """
     spec = order_spec(order)
     if N < order:
@@ -127,14 +134,32 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
             raise ValueError(f"operator coefficient {i} must be finite, got {c}")
     band = min(spec.bandwidth, dim - 1)
     matrix = BandedMatrix(dim, band, band)
-    k = np.arange(dim)
-    for q, w in weights.items():
-        if w == 0.0:
-            continue
-        for d, c in spec.expansion_table(q, k).items():
-            lo, hi = max(0, -d), min(dim, dim - d)
-            if lo < hi:
-                matrix.data[band + d, lo:hi] += w * c[lo:hi]
+    # D^order phi_k = sign B_kk R_k: the leading term fills the diagonal
+    lead = spec.diagonal(np.arange(dim, dtype=float))
+    np.multiply(lead, spec.signs[order] * weights[order], out=matrix.data[band])
+    lower = {q: w for q, w in weights.items() if q < order and w != 0.0}
+    if not lower:
+        return matrix
+    sums = None  # with several blocks, a block's band adds up here, then copies in
+    for lo, stacks in spec.expansion_blocks(range(dim), lower, matrix.data.nbytes):
+        width = next(iter(stacks.values())).shape[1]
+        block = matrix.data
+        if width < dim:
+            if sums is None:
+                sums = np.empty((2 * band + 1, width))
+            block = sums[:, :width]
+            block[...] = matrix.data[:, lo:lo + width]
+        for q, stack in stacks.items():
+            mid = order - q  # stack row mid + d holds offset d
+            reach = min(mid, band)
+            rows = block[band - reach:band + reach + 1]
+            np.add(rows, stack[mid - reach:mid + reach + 1], out=rows)
+        if width < dim:
+            matrix.data[:, lo:lo + width] = block
+    # an offset-d coefficient of column k lands in row k + d, past the
+    # matrix end for k >= dim - d: clear those slots
+    for d in range(1, min(order - min(lower), band) + 1):
+        matrix.data[band + d, dim - d:] = 0.0
     return matrix
 
 
@@ -157,7 +182,7 @@ def _projection(
     (a kink or a singularity) raises `ConvergenceError` instead of growing
     the dense rule without bound.
     """
-    hk = np.array([norm_h(params, k) for k in range(dim)])
+    hk = norm_h(params, np.arange(dim))
     eps = np.finfo(float).eps
 
     def evaluate(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +293,7 @@ def operator_oracle_matrix(order: int, coefficients, N: int) -> np.ndarray:
     rule = gauss_jacobi_rule(JacobiParams(0.0, 0.0), N + 16)
     x = rule.nodes
     psi = np.vstack([eval_psi(order, k, x) for k in range(dim)])
-    hk = np.array([norm_h(spec.test_params, k) for k in range(dim)])
+    hk = norm_h(spec.test_params, np.arange(dim))
     out = np.empty((dim, dim))
     for j in range(dim):
         lphi = np.zeros_like(x)

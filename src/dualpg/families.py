@@ -21,7 +21,7 @@ from operator import add
 
 import numpy as np
 
-from .orders import order_spec
+from .orders import order_spec, pinned
 
 __all__ = ["TrigPolySum", "ExampleFamily", "make_family"]
 
@@ -104,9 +104,8 @@ class ExampleFamily:
         rhs = self.rhs(coefficients)
         return order_spec(self.order).problem(*coefficients, rhs=rhs, bc=self.bc())
 
-    # per-order names of `problem`; a family of the other order fails the
-    # coefficient count in `rhs`
-    third_order_problem = fifth_order_problem = problem
+    third_order_problem = pinned(problem, 3, "third_order_problem")
+    fifth_order_problem = pinned(problem, 5, "fifth_order_problem")
 
 
 def _with_derivatives(

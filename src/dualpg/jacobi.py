@@ -137,23 +137,26 @@ def eval_R_derivative(params: JacobiParams, n: int, q: int, x):
     return scale * eval_R(shifted, n - q, x)
 
 
-def norm_h(params: JacobiParams, n: int) -> float:
+def norm_h(params: JacobiParams, n):
     """Squared weighted norm h_n = integral of (1-x)^a (1+x)^b R_n^2.
 
     h_n = 2^lam n! Gamma(n+b+1) Gamma(a+1)^2 / ((2n+lam) Gamma(n+lam)
-    Gamma(n+a+1)).  Integral indexes reduce to short exact products; the
-    general case goes through lgamma.
+    Gamma(n+a+1)).  Integral indexes reduce to short exact products, for an
+    int n or, elementwise in the same sequence of divisions, for an int
+    array of degrees; the general case goes through lgamma, for an int n.
     """
     a, b = params.alpha, params.beta
     lam = params.lam
     if float(a).is_integer() and float(b).is_integer():
         ia, ib = int(a), int(b)
         val = 2.0 ** (ia + ib + 1) * math.factorial(ia) ** 2 / (2 * n + ia + ib + 1)
-        for i in range(n + 1, n + ia + 1):
-            val /= i
-        for i in range(n + ib + 1, n + ia + ib + 1):
-            val /= i
+        for i in range(1, ia + 1):
+            val /= n + i
+        for i in range(ib + 1, ia + ib + 1):
+            val /= n + i
         return val
+    if np.ndim(n):
+        raise ValueError("norm_h takes an array of degrees for integral indexes only")
     if 2 * n + lam <= 0.0:
         # n = 0 and lam <= 0, where (2n + lam) Gamma(n + lam) = Gamma(lam + 1):
         # h_0 = 2^lam Gamma(a+1) Gamma(b+1) / Gamma(lam+1), the weight's mass

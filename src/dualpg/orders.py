@@ -4,22 +4,31 @@ Orders 3 and 5 are the m = 1, 2 cases of one construction of order 2m + 1:
 trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
-boundary-data and problem records, operator signs, closed-form derivative
-expansions (offset-keyed tables over an int or an array of columns k;
-an offset whose row k + d is negative reads exactly 0.0 and callers
-filter it), B1/B2 diagonal, monomial tables and closed-form lift.
-`order_spec` is the one place that accepts or rejects an order.
+boundary-data and problem records, operator signs, B1/B2 diagonal,
+monomial tables, closed-form lift and the derivative expansions.  The
+expansions are data: one row per (q, d) holding the constants and rising
+factorials (k+a)_j of the closed form of the coefficient of R_{k+d} in
+D^q phi_k.  `OrderSpec.expansion_blocks` evaluates all rows of an order
+over blocks of consecutive columns in one pass: one half-step sequence
+holds every shift k + a of the block and one product per length extends
+it to every rising factorial, each formed once, and every coefficient is
+formed in the association of the written-out formula, so it is bitwise
+what the formula gives; an offset whose row k + d is negative reads
+exactly 0.0.  `OrderSpec.expansion_table(q, k)` is the offset-keyed view
+of that pass at an int or an array of consecutive columns.  `order_spec`
+is the one place that accepts or rejects an order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from numbers import Real
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .jacobi import JacobiParams, pochhammer
+from .jacobi import JacobiParams
 
 __all__ = [
     "ThirdOrderBC",
@@ -133,108 +142,144 @@ def _b2_diagonal(k):
     return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
 
 
-# --- expansion coefficient tables -----------------------------------------
+# --- expansion coefficient rows ------------------------------------------
 #
-# _third_table(q, k)[d] = coefficient of R_{k+d}^{(1,2)} in D^q phi_k, and
-# _fifth_table(q, k)[d] = coefficient of R_{k+d}^{(2,3)} in D^q phi_k, for an
-# int k or an int array k (one coefficient per column).  Pochhammer factors
-# with nonpositive bases truncate the out-of-range terms.
+# D^order phi_k = sign B_kk R_k, the duality of the two families.  For
+# q < order, row (q, d) of an order gives the coefficient of R_{k+d} (test
+# family) in D^q phi_k, for every column k at once, as
+#
+#     c (k+a1)_j1 (k+a2)_j2 / (c' (k+b1)_i1 (k+b2)_i2),
+#
+# written (q, d, c, c', a1, j1, a2, j2, b1, i1, b2, i2); a length 0 is the
+# empty product and c' is a power of two.  Each product is formed left to right and each rising
+# factorial as the prefix product (k+a) (k+a+1) ... of `jacobi.pochhammer`,
+# so every coefficient is rounded exactly as the closed form written out
+# term by term.  Rising factorials with nonpositive bases truncate the
+# out-of-range terms: a row k + d < 0 reads exactly 0.0.  Rows run over
+# q = order - 1 .. 0 and, within q, over d = q - order .. order - q; every
+# row has a first numerator and a first denominator factor.
 
-def _third_table(q: int, k):
-    """Offset-keyed R^{(1,2)}-expansion of D^q phi_k for the order-3 basis."""
-    if q == 3:
-        terms = {0: _b1_diagonal(k)}
-    elif q == 2:
-        terms = {
-            1: 2.0 * pochhammer(k + 3, 2) / (2 * k + 5),
-            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            -1: -2.0 * pochhammer(k, 2) / (2 * k + 3),
-        }
-    elif q == 1:
-        terms = {
-            2: pochhammer(k + 3, 3) / (2.0 * (k + 2) * pochhammer(k + 2.5, 2)),
-            1: -pochhammer(k + 3, 2) / pochhammer(k + 1.5, 3),
-            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
-            -1: pochhammer(k, 2) / pochhammer(k + 0.5, 3),
-            -2: pochhammer(k - 1, 3) / (2.0 * (k + 2) * pochhammer(k + 0.5, 2)),
-        }
-    elif q == 0:
-        terms = {
-            3: pochhammer(k + 4, 3) / (4.0 * (k + 2) * pochhammer(k + 2.5, 3)),
-            2: -3.0 * pochhammer(k + 3, 3) / (4.0 * (k + 2) * pochhammer(k + 1.5, 4)),
-            1: -3.0 * pochhammer(k + 3, 2) / (4.0 * pochhammer(k + 1.5, 3)),
-            0: 3.0 * (k + 1) * (k + 3) / (2.0 * pochhammer(k + 0.5, 4)),
-            -1: 3.0 * pochhammer(k, 2) / (4.0 * pochhammer(k + 0.5, 3)),
-            -2: -3.0 * pochhammer(k - 1, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 4)),
-            -3: -pochhammer(k - 2, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 3)),
-        }
-    else:
-        raise ValueError(f"third-order expansion defined for q in 0..3, got {q}")
-    return terms
+MIN_BLOCK = 256  # columns below which a bound on the tables never splits a pass
+
+_THIRD_ROWS = (
+    # q  d       c     c'     a1 j1     a2 j2     b1 i1     b2 i2
+    (2, -1,   -2.0,   2.0,     0, 2,     0, 0,   1.5, 1,     0, 0),
+    (2,  0,   -1.0,   1.0,     1, 1,     3, 1,   1.5, 2,     0, 0),
+    (2,  1,    2.0,   2.0,     3, 2,     0, 0,   2.5, 1,     0, 0),
+    (1, -2,    1.0,   2.0,    -1, 3,     0, 0,     2, 1,   0.5, 2),
+    (1, -1,    1.0,   1.0,     0, 2,     0, 0,   0.5, 3,     0, 0),
+    (1,  0,   -1.0,   1.0,     1, 1,     3, 1,   1.5, 2,     0, 0),
+    (1,  1,   -1.0,   1.0,     3, 2,     0, 0,   1.5, 3,     0, 0),
+    (1,  2,    1.0,   2.0,     3, 3,     0, 0,     2, 1,   2.5, 2),
+    (0, -3,   -1.0,   4.0,    -2, 3,     0, 0,     2, 1,  -0.5, 3),
+    (0, -2,   -3.0,   4.0,    -1, 3,     0, 0,     2, 1,  -0.5, 4),
+    (0, -1,    3.0,   4.0,     0, 2,     0, 0,   0.5, 3,     0, 0),
+    (0,  0,    3.0,   2.0,     1, 1,     3, 1,   0.5, 4,     0, 0),
+    (0,  1,   -3.0,   4.0,     3, 2,     0, 0,   1.5, 3,     0, 0),
+    (0,  2,   -3.0,   4.0,     3, 3,     0, 0,     2, 1,   1.5, 4),
+    (0,  3,    1.0,   4.0,     4, 3,     0, 0,     2, 1,   2.5, 3),
+)
+
+_FIFTH_ROWS = (
+    # q  d       c     c'     a1 j1     a2 j2     b1 i1     b2 i2
+    (4, -1,    3.0,   2.0,     0, 3,     4, 1,   2.5, 1,     0, 0),
+    (4,  0,    3.0,   2.0,     1, 2,     4, 2,   2.5, 2,     0, 0),
+    (4,  1,   -3.0,   2.0,     2, 1,     4, 3,   3.5, 1,     0, 0),
+    (3, -2,   -3.0,   4.0,    -1, 4,     0, 0,   1.5, 2,     0, 0),
+    (3, -1,   -3.0,   2.0,     0, 3,     4, 1,   1.5, 3,     0, 0),
+    (3,  0,    3.0,   2.0,     1, 2,     4, 2,   2.5, 2,     0, 0),
+    (3,  1,    3.0,   2.0,     2, 1,     4, 3,   2.5, 3,     0, 0),
+    (3,  2,   -3.0,   4.0,     4, 4,     0, 0,   3.5, 2,     0, 0),
+    (2, -3,    3.0,   8.0,    -2, 5,     0, 0,     3, 1,   0.5, 3),
+    (2, -2,    9.0,   8.0,    -1, 4,     0, 0,   0.5, 4,     0, 0),
+    (2, -1,   -9.0,   8.0,     0, 3,     4, 1,   1.5, 3,     0, 0),
+    (2,  0,   -9.0,   4.0,     1, 2,     4, 2,   1.5, 4,     0, 0),
+    (2,  1,    9.0,   8.0,     2, 1,     4, 3,   2.5, 3,     0, 0),
+    (2,  2,    9.0,   8.0,     4, 4,     0, 0,   2.5, 4,     0, 0),
+    (2,  3,   -3.0,   8.0,     4, 5,     0, 0,     3, 1,   3.5, 3),
+    (1, -4,   -3.0,  16.0,    -3, 5,     0, 0,     3, 1,  -0.5, 4),
+    (1, -3,   -3.0,   4.0,    -2, 5,     0, 0,     3, 1,  -0.5, 5),
+    (1, -2,    3.0,   4.0,    -1, 4,     0, 0,   0.5, 4,     0, 0),
+    (1, -1,    9.0,   4.0,     0, 3,     4, 1,   0.5, 5,     0, 0),
+    (1,  0,   -9.0,   8.0,     1, 2,     4, 2,   1.5, 4,     0, 0),
+    (1,  1,   -9.0,   4.0,     2, 1,     4, 3,   1.5, 5,     0, 0),
+    (1,  2,    3.0,   4.0,     4, 4,     0, 0,   2.5, 4,     0, 0),
+    (1,  3,    3.0,   4.0,     4, 5,     0, 0,     3, 1,   2.5, 5),
+    (1,  4,   -3.0,  16.0,     5, 5,     0, 0,     3, 1,   3.5, 4),
+    (0, -5,    3.0,  32.0,    -4, 5,     0, 0,     3, 1,  -1.5, 5),
+    (0, -4,   15.0,  32.0,    -3, 5,     0, 0,     3, 1,  -1.5, 6),
+    (0, -3,  -15.0,  32.0,    -2, 5,     0, 0,     3, 1,  -0.5, 5),
+    (0, -2,  -15.0,   8.0,    -1, 4,     0, 0,  -0.5, 6,     0, 0),
+    (0, -1,   15.0,  16.0,     0, 3,     4, 1,   0.5, 5,     0, 0),
+    (0,  0,   45.0,  16.0,     1, 2,     4, 2,   0.5, 6,     0, 0),
+    (0,  1,  -15.0,  16.0,     2, 1,     4, 3,   1.5, 5,     0, 0),
+    (0,  2,  -15.0,   8.0,     4, 4,     0, 0,   1.5, 6,     0, 0),
+    (0,  3,   15.0,  32.0,     4, 5,     0, 0,     3, 1,   2.5, 5),
+    (0,  4,   15.0,  32.0,     5, 5,     0, 0,     3, 1,   2.5, 6),
+    (0,  5,   -3.0,  32.0,     6, 5,     0, 0,     3, 1,   3.5, 5),
+)
 
 
-def _fifth_table(q: int, k):
-    """Offset-keyed R^{(2,3)}-expansion of D^q phi_k for the order-5 basis."""
-    if q == 5:
-        terms = {0: -_b2_diagonal(k)}
-    elif q == 4:
-        terms = {
-            1: -3.0 * (k + 2) * pochhammer(k + 4, 3) / (2 * k + 7),
-            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            -1: 3.0 * pochhammer(k, 3) * (k + 4) / (2 * k + 5),
-        }
-    elif q == 3:
-        terms = {
-            2: -3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 3.5, 2)),
-            1: 3.0 * (k + 2) * pochhammer(k + 4, 3) / (2.0 * pochhammer(k + 2.5, 3)),
-            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (2.0 * pochhammer(k + 2.5, 2)),
-            -1: -3.0 * pochhammer(k, 3) * (k + 4) / (2.0 * pochhammer(k + 1.5, 3)),
-            -2: -3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 1.5, 2)),
-        }
-    elif q == 2:
-        terms = {
-            3: -3.0 * pochhammer(k + 4, 5) / (8.0 * (k + 3) * pochhammer(k + 3.5, 3)),
-            2: 9.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 2.5, 4)),
-            1: 9.0 * (k + 2) * pochhammer(k + 4, 3) / (8.0 * pochhammer(k + 2.5, 3)),
-            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (4.0 * pochhammer(k + 1.5, 4)),
-            -1: -9.0 * pochhammer(k, 3) * (k + 4) / (8.0 * pochhammer(k + 1.5, 3)),
-            -2: 9.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k + 0.5, 4)),
-            -3: 3.0 * pochhammer(k - 2, 5) / (8.0 * (k + 3) * pochhammer(k + 0.5, 3)),
-        }
-    elif q == 1:
-        terms = {
-            4: -3.0 * pochhammer(k + 5, 5) / (16.0 * (k + 3) * pochhammer(k + 3.5, 4)),
-            3: 3.0 * pochhammer(k + 4, 5) / (4.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            2: 3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 2.5, 4)),
-            1: -9.0 * (k + 2) * pochhammer(k + 4, 3) / (4.0 * pochhammer(k + 1.5, 5)),
-            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (8.0 * pochhammer(k + 1.5, 4)),
-            -1: 9.0 * pochhammer(k, 3) * (k + 4) / (4.0 * pochhammer(k + 0.5, 5)),
-            -2: 3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 0.5, 4)),
-            -3: -3.0 * pochhammer(k - 2, 5) / (4.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            -4: -3.0 * pochhammer(k - 3, 5) / (16.0 * (k + 3) * pochhammer(k - 0.5, 4)),
-        }
-    elif q == 0:
-        terms = {
-            5: -3.0 * pochhammer(k + 6, 5) / (32.0 * (k + 3) * pochhammer(k + 3.5, 5)),
-            4: 15.0 * pochhammer(k + 5, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 6)),
-            3: 15.0 * pochhammer(k + 4, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 5)),
-            2: -15.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 1.5, 6)),
-            1: -15.0 * (k + 2) * pochhammer(k + 4, 3) / (16.0 * pochhammer(k + 1.5, 5)),
-            0: 45.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
-                / (16.0 * pochhammer(k + 0.5, 6)),
-            -1: 15.0 * pochhammer(k, 3) * (k + 4) / (16.0 * pochhammer(k + 0.5, 5)),
-            -2: -15.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k - 0.5, 6)),
-            -3: -15.0 * pochhammer(k - 2, 5) / (32.0 * (k + 3) * pochhammer(k - 0.5, 5)),
-            -4: 15.0 * pochhammer(k - 3, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 6)),
-            -5: 3.0 * pochhammer(k - 4, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 5)),
-        }
-    else:
-        raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
-    return terms
+def _evaluate_rows(rows, columns: range, weights: np.ndarray, max_bytes: int | None):
+    """Yield (lo, values): w_i times row i at columns[lo:lo + m] in values[i].
+
+    One pass serves every row.  Over consecutive columns k = k0 + j a
+    rising factorial depends on k + a alone, and every base a lies on a
+    half-integer grid from lo, so per block one sequence per length t,
+
+        G_t[p] = (x_p)_t,  x_p = k0 + lo + p/2,
+
+    holds every rising factorial of that length the rows name: (k+a)_t at
+    column j is G_t[2 (a - lo) + 2 j].  G_1 is the half-step sequence x_p
+    itself, one add, and G_t = G_{t-1} (x_p + t - 1) one multiply per
+    length, the prefix products of `jacobi.pochhammer`.  One fancy index
+    into a strided view of the sequences gathers one factor slot of every
+    row (an empty product reads the row of ones); the numerators take c/c'
+    and their second factors, the denominators their second factors, each
+    numerator is divided by its denominator and the quotient is scaled by
+    its row's weight (the column `weights`).  A block has as many columns
+    as keep its sequences and products within max_bytes, but at least
+    MIN_BLOCK (all columns if None).  The buffers are reused, so each
+    yielded array is overwritten by the next block.
+    """
+    n, count = len(rows), len(columns)
+    spec = np.fromiter(chain.from_iterable(rows), float, 12 * n).reshape(n, 12)
+    # c' is a power of two, so (c/c') (k+a1)_j1 ... / ((k+b1)_i1 ...) rounds
+    # exactly as c (k+a1)_j1 ... / (c' (k+b1)_i1 ...): a power-of-two scale
+    # commutes with every rounding
+    scales = (spec[:, 2] / spec[:, 3])[:, None]
+    bases, lengths = spec[:, 4::2], spec[:, 5::2].astype(np.intp)
+    lo, longest = bases.min(), lengths.max()
+    steps = (2 * (bases - lo)).astype(np.intp)
+    # per column: the products, a gather of their size and the sequences
+    width = count if max_bytes is None else max(
+        MIN_BLOCK, max_bytes // (8 * (3 * n + 2 * longest)))
+    width = min(width, count)
+    reach = steps.max() + 2 * width - 1  # entries of each G_t a block reads
+    half_steps = 0.5 * np.arange(reach + 2 * longest - 2)
+    # row 0 holds ones, the empty product, and row t holds G_t, so (k+a)_t
+    # at block column j is sequences.flat[at + 2 j]
+    sequences = np.empty((longest + 1, half_steps.size))
+    sequences[0] = 1.0
+    at = (lengths * half_steps.size + steps).T
+    products_buf = np.empty(2 * n * width)
+    for start in range(0, count, width):
+        m = min(width, count - start)
+        used = reach - 2 * (width - m)
+        x = sequences[1, :used + 2 * longest - 2]
+        np.add(half_steps[:x.size], columns[start] + lo, out=x)
+        for t in range(2, longest + 1):
+            np.multiply(sequences[t - 1, :used], sequences[1, 2 * t - 2:2 * t - 2 + used],
+                        out=sequences[t, :used])
+        table = np.ndarray((sequences.size - 2 * m + 2, m), float, sequences, 0, (8, 16))
+        num, den = products_buf[:2 * n * m].reshape(2, n, m)
+        np.multiply(table[at[0]], scales, out=num)
+        num *= table[at[1]]
+        den[...] = table[at[2]]
+        den *= table[at[3]]
+        np.divide(num, den, out=num)
+        num *= weights
+        yield start, num
 
 
 def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
@@ -270,7 +315,7 @@ class OrderSpec:
     bc: type  # boundary-data record, fields in `boundary_points` order
     problem: type  # problem record, operator coefficients first
     signs: dict[int, float]  # sign of D^q in the operator, q = order .. 0
-    expansion_table: Callable  # (q, k) -> {offset: coefficient} of D^q phi_k, test family
+    expansion_rows: tuple  # closed forms of the D^q phi_k expansions, q < order
     diagonal: Callable  # diagonal of B = +-D^order in the test family
     mono_to_test: tuple[tuple[float, ...], ...]  # x^d = sum_i [d][i] R_i, test family
     lift: Callable  # closed-form lift coefficients of a `bc` record
@@ -293,6 +338,57 @@ class OrderSpec:
         """Number of basis functions at truncation N."""
         return N - 2 * self.m
 
+    def expansion_blocks(self, columns: range, weights, max_bytes: int | None = None):
+        """Yield (lo, stacks) over blocks columns[lo:lo + m] in one pass.
+
+        columns is a range of consecutive columns k; weights maps each
+        derivative order q < order to evaluate, in descending q, to the
+        factor its stack is multiplied by; max_bytes bounds the tables of a
+        block (one block by default).  stacks[q][i] holds w_q times the
+        coefficient of R_{k+d} (test family) in D^q phi_k at each column of
+        the block, d = i - (order - q): the offsets q - order .. order - q,
+        so offset 0 sits in the middle.  All of them come from one pass
+        over their rows of `expansion_rows`.  Each stack is overwritten by
+        the next block.
+        """
+        rows, spans, scale = [], [], []
+        for q, w in weights.items():
+            # the 2 (order - q) + 1 rows of q follow the (order - q)^2 - 1
+            # rows of the higher orders
+            first = (self.order - q) ** 2 - 1
+            block = self.expansion_rows[first:first + 2 * (self.order - q) + 1]
+            spans.append((q, len(rows), len(rows) + len(block)))
+            rows += block
+            scale += [w] * len(block)
+        for lo, values in _evaluate_rows(rows, columns, np.array(scale)[:, None], max_bytes):
+            yield lo, {q: values[a:b] for q, a, b in spans}
+
+    def expansion_table(self, q: int, k) -> dict:
+        """{d: coefficient of R_{k+d} in D^q phi_k}, d = order - q .. q - order.
+
+        At an int k (float values) or a 1-d array of consecutive int columns
+        (an array per offset): sign * diagonal(k) for q = order, otherwise a
+        view of one `expansion_blocks` pass.
+        """
+        if not 0 <= q <= self.order:
+            raise ValueError(
+                f"order-{self.order} expansion defined for q in 0..{self.order}, got {q}"
+            )
+        cols = np.atleast_1d(k)
+        first = int(cols[0])
+        if cols.ndim != 1 or not np.array_equal(cols, np.arange(first, first + cols.size)):
+            raise ValueError("expansion_table needs an int or consecutive int columns")
+        if q == self.order:
+            stack = self.signs[q] * self.diagonal(cols.astype(float))[None]
+        else:
+            _, stacks = next(self.expansion_blocks(range(first, first + cols.size), {q: 1.0}))
+            stack = stacks[q]
+        reach = self.order - q
+        offsets = range(reach, -reach - 1, -1)
+        if np.ndim(k) == 0:
+            return {d: float(stack[reach + d][0]) for d in offsets}
+        return {d: stack[reach + d] for d in offsets}
+
     def weights(self, coefficients) -> dict[int, float]:
         """Signed weight of D^q in the operator, q = order .. 0 (leading one)."""
         if len(coefficients) != self.n_coefficients:
@@ -309,7 +405,7 @@ SPECS: dict[int, OrderSpec] = {
         bc=ThirdOrderBC,
         problem=ThirdOrderProblem,
         signs={3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion_table=_third_table,
+        expansion_rows=_THIRD_ROWS,
         diagonal=_b1_diagonal,
         mono_to_test=(
             (1.0,),
@@ -323,7 +419,7 @@ SPECS: dict[int, OrderSpec] = {
         bc=FifthOrderBC,
         problem=FifthOrderProblem,
         signs={5: -1.0, 4: 1.0, 3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion_table=_fifth_table,
+        expansion_rows=_FIFTH_ROWS,
         diagonal=_b2_diagonal,
         mono_to_test=(
             (1.0,),
@@ -335,6 +431,24 @@ SPECS: dict[int, OrderSpec] = {
         lift=_lift_fifth,
     ),
 }
+
+
+def pinned(route, order: int, name: str):
+    """`route` under the per-order `name`, refusing records of the other order.
+
+    The first argument of `route` is a record with an `order` attribute (a
+    problem, boundary data or a manufactured family).
+    """
+
+    def pinned_route(record, *args, **kwargs):
+        if record.order != order:
+            raise ValueError(f"{name} takes an order-{order} record, got an "
+                             f"order-{record.order} {type(record).__name__}")
+        return route(record, *args, **kwargs)
+
+    pinned_route.__name__ = pinned_route.__qualname__ = name
+    pinned_route.__doc__ = route.__doc__
+    return pinned_route
 
 
 def order_spec(order: int) -> OrderSpec:

@@ -288,9 +288,7 @@ def suite_oracle_equivalence(order: int) -> SuiteResult:
         for N in checks.oracle_sizes:
             assembled = operator_matrix(order, coeffs, N).to_dense()
             oracle = operator_oracle_matrix(order, coeffs, N)
-            hk = np.array([
-                norm_h(spec.test_params, k) for k in range(oracle.shape[0])
-            ])
+            hk = norm_h(spec.test_params, np.arange(oracle.shape[0]))
             assembled_m = assembled * hk[:, None]
             oracle_m = oracle * hk[:, None]
             dev = np.abs(assembled_m - oracle_m)

@@ -1,4 +1,6 @@
 """System assembly against the quadrature oracle, projections, and lifting."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,131 @@ from dualpg.assembly import (
     operator_oracle_matrix,
     rhs_projection,
 )
-from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h
+from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h, pochhammer
 from dualpg.orders import order_spec
 
 unit_coeff = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _b1_diagonal(k):
+    """Diagonal of B1: D^3 phi_k = 2 (k+1)(k+3) R_k^{(1,2)}; k int or array."""
+    return 2.0 * (k + 1) * (k + 3)
+
+
+def _b2_diagonal(k):
+    """Diagonal of B2: -D^5 phi_k = 3 (k+1)(k+2)(k+4)(k+5) R_k^{(2,3)}."""
+    return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
+
+
+# --- reference expansion tables --------------------------------------------
+#
+# The closed forms written out term by term, one `pochhammer` call per rising
+# factorial: an independent reference that `OrderSpec.expansion_table` and
+# `operator_matrix` must match bit for bit.
+#
+# _third_table(q, k)[d] = coefficient of R_{k+d}^{(1,2)} in D^q phi_k, and
+# _fifth_table(q, k)[d] = coefficient of R_{k+d}^{(2,3)} in D^q phi_k, for an
+# int k or an int array k (one coefficient per column).  Pochhammer factors
+# with nonpositive bases truncate the out-of-range terms.
+
+def _third_table(q: int, k):
+    """Offset-keyed R^{(1,2)}-expansion of D^q phi_k for the order-3 basis."""
+    if q == 3:
+        terms = {0: _b1_diagonal(k)}
+    elif q == 2:
+        terms = {
+            1: 2.0 * pochhammer(k + 3, 2) / (2 * k + 5),
+            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
+            -1: -2.0 * pochhammer(k, 2) / (2 * k + 3),
+        }
+    elif q == 1:
+        terms = {
+            2: pochhammer(k + 3, 3) / (2.0 * (k + 2) * pochhammer(k + 2.5, 2)),
+            1: -pochhammer(k + 3, 2) / pochhammer(k + 1.5, 3),
+            0: -(k + 1) * (k + 3) / pochhammer(k + 1.5, 2),
+            -1: pochhammer(k, 2) / pochhammer(k + 0.5, 3),
+            -2: pochhammer(k - 1, 3) / (2.0 * (k + 2) * pochhammer(k + 0.5, 2)),
+        }
+    elif q == 0:
+        terms = {
+            3: pochhammer(k + 4, 3) / (4.0 * (k + 2) * pochhammer(k + 2.5, 3)),
+            2: -3.0 * pochhammer(k + 3, 3) / (4.0 * (k + 2) * pochhammer(k + 1.5, 4)),
+            1: -3.0 * pochhammer(k + 3, 2) / (4.0 * pochhammer(k + 1.5, 3)),
+            0: 3.0 * (k + 1) * (k + 3) / (2.0 * pochhammer(k + 0.5, 4)),
+            -1: 3.0 * pochhammer(k, 2) / (4.0 * pochhammer(k + 0.5, 3)),
+            -2: -3.0 * pochhammer(k - 1, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 4)),
+            -3: -pochhammer(k - 2, 3) / (4.0 * (k + 2) * pochhammer(k - 0.5, 3)),
+        }
+    else:
+        raise ValueError(f"third-order expansion defined for q in 0..3, got {q}")
+    return terms
+
+
+def _fifth_table(q: int, k):
+    """Offset-keyed R^{(2,3)}-expansion of D^q phi_k for the order-5 basis."""
+    if q == 5:
+        terms = {0: -_b2_diagonal(k)}
+    elif q == 4:
+        terms = {
+            1: -3.0 * (k + 2) * pochhammer(k + 4, 3) / (2 * k + 7),
+            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (2.0 * pochhammer(k + 2.5, 2)),
+            -1: 3.0 * pochhammer(k, 3) * (k + 4) / (2 * k + 5),
+        }
+    elif q == 3:
+        terms = {
+            2: -3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 3.5, 2)),
+            1: 3.0 * (k + 2) * pochhammer(k + 4, 3) / (2.0 * pochhammer(k + 2.5, 3)),
+            0: 3.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (2.0 * pochhammer(k + 2.5, 2)),
+            -1: -3.0 * pochhammer(k, 3) * (k + 4) / (2.0 * pochhammer(k + 1.5, 3)),
+            -2: -3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 1.5, 2)),
+        }
+    elif q == 2:
+        terms = {
+            3: -3.0 * pochhammer(k + 4, 5) / (8.0 * (k + 3) * pochhammer(k + 3.5, 3)),
+            2: 9.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 2.5, 4)),
+            1: 9.0 * (k + 2) * pochhammer(k + 4, 3) / (8.0 * pochhammer(k + 2.5, 3)),
+            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (4.0 * pochhammer(k + 1.5, 4)),
+            -1: -9.0 * pochhammer(k, 3) * (k + 4) / (8.0 * pochhammer(k + 1.5, 3)),
+            -2: 9.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k + 0.5, 4)),
+            -3: 3.0 * pochhammer(k - 2, 5) / (8.0 * (k + 3) * pochhammer(k + 0.5, 3)),
+        }
+    elif q == 1:
+        terms = {
+            4: -3.0 * pochhammer(k + 5, 5) / (16.0 * (k + 3) * pochhammer(k + 3.5, 4)),
+            3: 3.0 * pochhammer(k + 4, 5) / (4.0 * (k + 3) * pochhammer(k + 2.5, 5)),
+            2: 3.0 * pochhammer(k + 4, 4) / (4.0 * pochhammer(k + 2.5, 4)),
+            1: -9.0 * (k + 2) * pochhammer(k + 4, 3) / (4.0 * pochhammer(k + 1.5, 5)),
+            0: -9.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (8.0 * pochhammer(k + 1.5, 4)),
+            -1: 9.0 * pochhammer(k, 3) * (k + 4) / (4.0 * pochhammer(k + 0.5, 5)),
+            -2: 3.0 * pochhammer(k - 1, 4) / (4.0 * pochhammer(k + 0.5, 4)),
+            -3: -3.0 * pochhammer(k - 2, 5) / (4.0 * (k + 3) * pochhammer(k - 0.5, 5)),
+            -4: -3.0 * pochhammer(k - 3, 5) / (16.0 * (k + 3) * pochhammer(k - 0.5, 4)),
+        }
+    elif q == 0:
+        terms = {
+            5: -3.0 * pochhammer(k + 6, 5) / (32.0 * (k + 3) * pochhammer(k + 3.5, 5)),
+            4: 15.0 * pochhammer(k + 5, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 6)),
+            3: 15.0 * pochhammer(k + 4, 5) / (32.0 * (k + 3) * pochhammer(k + 2.5, 5)),
+            2: -15.0 * pochhammer(k + 4, 4) / (8.0 * pochhammer(k + 1.5, 6)),
+            1: -15.0 * (k + 2) * pochhammer(k + 4, 3) / (16.0 * pochhammer(k + 1.5, 5)),
+            0: 45.0 * pochhammer(k + 1, 2) * pochhammer(k + 4, 2)
+                / (16.0 * pochhammer(k + 0.5, 6)),
+            -1: 15.0 * pochhammer(k, 3) * (k + 4) / (16.0 * pochhammer(k + 0.5, 5)),
+            -2: -15.0 * pochhammer(k - 1, 4) / (8.0 * pochhammer(k - 0.5, 6)),
+            -3: -15.0 * pochhammer(k - 2, 5) / (32.0 * (k + 3) * pochhammer(k - 0.5, 5)),
+            -4: 15.0 * pochhammer(k - 3, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 6)),
+            -5: 3.0 * pochhammer(k - 4, 5) / (32.0 * (k + 3) * pochhammer(k - 1.5, 5)),
+        }
+    else:
+        raise ValueError(f"fifth-order expansion defined for q in 0..5, got {q}")
+    return terms
+
+
+REFERENCE_TABLES = {3: _third_table, 5: _fifth_table}
 
 
 class TestOperatorMatrix:
@@ -88,18 +211,19 @@ class TestOperatorMatrix:
 
 
 def scalar_expansion(order, q, j):
-    """{row: coefficient} of column j from the table at an int j, nonzeros only."""
+    """{row: coefficient} of column j from the reference table at an int j, nonzeros only."""
     return {
-        j + d: c for d, c in order_spec(order).expansion_table(q, j).items()
+        j + d: c for d, c in REFERENCE_TABLES[order](q, j).items()
         if j + d >= 0 and c != 0.0
     }
 
 # coefficient sets per order, zeros included: a zero weight skips its table
 BITWISE_COEFFS = {
     3: ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.0), (-3.7, 0.0, 2.9),
-        (2.0, 3.0, 4.0)),
+        (2.0, 3.0, 4.0), (-3.7e6, 1.1e6, 2.9e6)),
     5: ((1.0,) * 5, (0.0,) * 5, (0.0, 1.0, 2.0, 3.0, 4.0),
-        (1.3, -2.6, 0.0, 3.9, -0.4), (2.0, 3.0, 4.0, 5.0, 6.0)),
+        (1.3, -2.6, 0.0, 3.9, -0.4), (2.0, 3.0, 4.0, 5.0, 6.0),
+        (1.3e6, -2.6e6, 0.7e6, 3.9e6, -0.4e6)),
 }
 
 
@@ -119,7 +243,59 @@ def reference_operator_data(order, coefficients, N):
     return data
 
 
+def reference_operator_data_array(order, coefficients, N):
+    """Band data assembled one offset at a time from the reference tables over all columns."""
+    spec = order_spec(order)
+    dim = spec.dimension(N)
+    band = min(spec.bandwidth, dim - 1)
+    data = np.zeros((2 * band + 1, dim))
+    k = np.arange(dim)
+    for q, w in spec.weights(coefficients).items():
+        if w == 0.0:
+            continue
+        for d, c in REFERENCE_TABLES[order](q, k).items():
+            lo, hi = max(0, -d), min(dim, dim - d)
+            if lo < hi:
+                data[band + d, lo:hi] += w * c[lo:hi]
+    return data
+
+
 class TestVectorisedAssembly:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_expansion_table_matches_reference_bitwise(self, order):
+        spec = order_spec(order)
+        for q in range(order + 1):
+            for k in range(41):
+                got, expect = spec.expansion_table(q, k), REFERENCE_TABLES[order](q, k)
+                assert list(got) == list(expect), (q, k)
+                for d, c in expect.items():
+                    assert np.float64(c).tobytes() == np.float64(got[d]).tobytes(), (q, k, d)
+            for n in (1, 7, 300, 4092, 20000):
+                k = np.arange(n)
+                got, expect = spec.expansion_table(q, k), REFERENCE_TABLES[order](q, k)
+                assert list(got) == list(expect), (q, n)
+                for d, c in expect.items():
+                    c = np.asarray(c, dtype=float)
+                    assert np.array_equal(c.view(np.int64), got[d].view(np.int64)), (q, n, d)
+
+    def test_expansion_table_needs_consecutive_columns(self):
+        with pytest.raises(ValueError, match="consecutive"):
+            order_spec(3).expansion_table(1, np.array([0, 2, 3]))
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_peak_allocation_bounded(self, order):
+        # the one-pass tables go in column blocks, so the transients of a
+        # large assembly stay a small multiple of the band storage
+        coefficients = (1.0,) * order
+        operator_matrix(order, coefficients, 4096)
+        tracemalloc.start()
+        try:
+            matrix = operator_matrix(order, coefficients, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * matrix.data.nbytes
+
     @pytest.mark.parametrize("order", [3, 5])
     def test_array_table_matches_scalar_view(self, order):
         spec = order_spec(order)
@@ -137,11 +313,12 @@ class TestVectorisedAssembly:
                     assert np.float64(c).tobytes() == np.float64(from_table[i]).tobytes()
 
     @pytest.mark.parametrize("order", [3, 5])
-    @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 24, 256])
+    @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 24, 40, 256, 1024, 4096])
     def test_matches_entry_by_entry_assembly_bitwise(self, order, N):
+        reference = reference_operator_data if N <= 256 else reference_operator_data_array
         for coefficients in BITWISE_COEFFS[order]:
             matrix = operator_matrix(order, coefficients, N)
-            expect = reference_operator_data(order, coefficients, N)
+            expect = reference(order, coefficients, N)
             assert np.array_equal(matrix.data.view(np.int64), expect.view(np.int64))
 
 

@@ -260,18 +260,18 @@ class TestVerifyCommand:
 
     @staticmethod
     def flip_q0_diagonal(monkeypatch, order):
-        """Flip the sign of offset 0 of the q = 0 table (E0 or G0 diagonal)."""
+        """Flip the sign of offset 0 of the q = 0 expansion (E0 or G0 diagonal)."""
         spec = order_spec(order)
-        original = spec.expansion_table
+        original = spec.expansion_blocks
 
-        def flipped(q, k):
-            out = original(q, k)
-            if q == 0:
-                out = dict(out)
-                out[0] = -out[0]
-            return out
+        def flipped(*args, **kwargs):
+            for lo, stacks in original(*args, **kwargs):
+                if 0 in stacks:
+                    diagonal = stacks[0][order]  # offset 0 of the rows -order .. order
+                    np.negative(diagonal, out=diagonal)
+                yield lo, stacks
 
-        monkeypatch.setattr(spec, "expansion_table", flipped)
+        monkeypatch.setattr(spec, "expansion_blocks", flipped)
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_mutated_assembly_fails_naming_entry(self, monkeypatch, order):
@@ -305,6 +305,23 @@ class TestVerifyCommand:
         rows = read_csv(tmp_path / "verify.csv")
         assert rows[0] == ["suite", "status", "max_deviation", "tolerance", "detail"]
         assert [(r[0], r[3]) for r in rows[1:]] == VERIFY_LAYOUT
+
+
+    def test_write_outputs_script_artifacts(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "write_outputs.py"),
+             "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        names = [f"table{i}.csv" for i in range(1, 6)] + [
+            "verify.csv", "opcount_study.txt", "solve3_n16_example1.csv",
+            "solve5_n20_example2.csv", "solve3_n12_example3.csv",
+            "solve3_n1024_rhs_poly.csv",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 class TestRunConfigApi:

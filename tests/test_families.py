@@ -103,6 +103,13 @@ class TestFamilyThree:
             make_family(3, m=1.0).fifth_order_problem((0.0,) * 5)
         with pytest.raises(ValueError):
             make_family(2, m=1.0).third_order_problem((0.0, 0.0, 0.0))
+        # the right coefficient count for the family, the other order's name
+        with pytest.raises(ValueError, match="third_order_problem takes an order-3 "
+                                             "record, got an order-5 ExampleFamily"):
+            make_family(2, m=1.0).third_order_problem((1.0,) * 5)
+        with pytest.raises(ValueError, match="fifth_order_problem takes an order-5 "
+                                             "record, got an order-3 ExampleFamily"):
+            make_family(3, m=1.0).fifth_order_problem((1.0,) * 3)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

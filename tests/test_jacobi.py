@@ -130,6 +130,17 @@ class TestNormH:
             expect = 128.0 / ((k + 1) * (k + 2) * (k + 3) * (k + 4) * (k + 5))
             assert norm_h(P23, k) == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("indexes", [(1, 2), (2, 3), (0, 0), (3, 4)])
+    def test_int_array_matches_scalar_calls_bitwise(self, indexes):
+        params = JacobiParams(*map(float, indexes))
+        n = np.arange(5001)
+        expect = np.array([norm_h(params, int(i)) for i in n])
+        assert np.array_equal(norm_h(params, n).view(np.int64), expect.view(np.int64))
+
+    def test_real_index_path_rejects_an_array(self):
+        with pytest.raises(ValueError, match="integral indexes only"):
+            norm_h(JacobiParams(0.5, 1.5), np.arange(6))
+
     def test_real_index_path_matches_integer_path(self):
         # lgamma route against the exact integer route at an integer pair
         integer = norm_h(P23, 4)
