@@ -117,8 +117,8 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     `OrderSpec.expansion_blocks` pass then evaluates the weighted expansion
     rows of every lower derivative order with a nonzero weight over a block
     of columns whose tables take no more memory than the band storage, and
-    each order adds its offsets, which sit in contiguous band rows, in one
-    stacked update.  Orders are added in the spec's q order, so every entry
+    each order adds its offsets, which sit in contiguous band rows, into a
+    copy of the block's band columns in one stacked update.  Orders are added in the spec's q order, so every entry
     is summed in the same order as a column-by-column assembly would and
     the matrix is bitwise the one the closed forms give entry by entry.
     The slots of rows past the matrix end are cleared at the end.  A NaN or
@@ -140,22 +140,18 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     lower = {q: w for q, w in weights.items() if q < order and w != 0.0}
     if not lower:
         return matrix
-    sums = None  # with several blocks, a block's band adds up here, then copies in
     for lo, stacks in spec.expansion_blocks(range(dim), lower, matrix.data.nbytes):
         width = next(iter(stacks.values())).shape[1]
-        block = matrix.data
-        if width < dim:
-            if sums is None:
-                sums = np.empty((2 * band + 1, width))
-            block = sums[:, :width]
-            block[...] = matrix.data[:, lo:lo + width]
+        # a compact copy of the block's band columns takes every order's
+        # adds; adding into the strided band rows read 5-10% slower at
+        # N >= 1024 (interleaved timing on a 2-vCPU VM)
+        block = matrix.data[:, lo:lo + width].copy()
         for q, stack in stacks.items():
             mid = order - q  # stack row mid + d holds offset d
             reach = min(mid, band)
             rows = block[band - reach:band + reach + 1]
             np.add(rows, stack[mid - reach:mid + reach + 1], out=rows)
-        if width < dim:
-            matrix.data[:, lo:lo + width] = block
+        matrix.data[:, lo:lo + width] = block
     # an offset-d coefficient of column k lands in row k + d, past the
     # matrix end for k >= dim - d: clear those slots
     for d in range(1, min(order - min(lower), band) + 1):

@@ -295,21 +295,6 @@ class TestVerifyCommand:
     def test_reproduce_script_report_layout(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        subprocess.run(
-            [sys.executable, str(root / "scripts" / "reproduce_tables.py"),
-             "--outdir", str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
-        names = [f"table{i}.csv" for i in range(1, 6)] + ["verify.csv"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-        rows = read_csv(tmp_path / "verify.csv")
-        assert rows[0] == ["suite", "status", "max_deviation", "tolerance", "detail"]
-        assert [(r[0], r[3]) for r in rows[1:]] == VERIFY_LAYOUT
-
-
-    def test_write_outputs_script_artifacts(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
         done = subprocess.run(
             [sys.executable, str(root / "scripts" / "write_outputs.py"),
              "--outdir", str(tmp_path)],
@@ -322,6 +307,9 @@ class TestVerifyCommand:
             "solve3_n1024_rhs_poly.csv",
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        rows = read_csv(tmp_path / "verify.csv")
+        assert rows[0] == ["suite", "status", "max_deviation", "tolerance", "detail"]
+        assert [(r[0], r[3]) for r in rows[1:]] == VERIFY_LAYOUT
 
 
 class TestRunConfigApi:
