@@ -11,14 +11,12 @@ D^q phi_j, w_q is the signed operator coefficient of D^q, and B is the
 diagonal block of the leading derivative: B1 + a1 E2 + b1 E1 + g1 E0 for
 order 3 and B2 + a2 G4 + b2 G3 + g2 G2 + d2 G1 + m2 G0 for order 5 in the
 paper's notation.  One route, `assemble(problem, N)`, builds either from
-the problem's `OrderSpec`; the expansions it reads were confirmed
-entrywise against the quadrature oracle, and where the alternative
-tabulated entry formulas disagree with the oracle the verification report
-enumerates both values.  `operator_matrix` fills the diagonal from the
-leading derivative, evaluates every weighted lower-order expansion row in
-one pass per block of columns (`OrderSpec.expansion_blocks`) and adds each
-derivative order's offsets into their contiguous band rows in one stacked
-update, about twenty array operations per block.
+the problem's `OrderSpec`; the matrix it assembles is checked entrywise
+against the quadrature oracle, and where the alternative tabulated entry
+formulas disagree with the oracle the verification report enumerates
+both values.  `operator_matrix` takes the whole band, B included, from
+one `OrderSpec.expansion_band` call: a chain of 4m + 2 two-term Jacobi
+relations over all columns at once, whose rows are the band rows.
 
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
@@ -113,16 +111,12 @@ class BandSystem:
 def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     """Assemble D1 (order 3) or D2 (order 5) directly into band storage.
 
-    The leading derivative fills the diagonal; one
-    `OrderSpec.expansion_blocks` pass then evaluates the weighted expansion
-    rows of every lower derivative order with a nonzero weight over a block
-    of columns whose tables take no more memory than the band storage, and
-    each order adds its offsets, which sit in contiguous band rows, into a
-    copy of the block's band columns in one stacked update.  Orders are added in the spec's q order, so every entry
-    is summed in the same order as a column-by-column assembly would and
-    the matrix is bitwise the one the closed forms give entry by entry.
-    The slots of rows past the matrix end are cleared at the end.  A NaN or
-    infinite coefficient raises ValueError naming its index.
+    One `OrderSpec.expansion_band` call builds every weighted derivative
+    order's expansion for all columns; its rows are the band rows, so they
+    are wrapped as the matrix as they stand (the middle ones only when the
+    dimension clips the band).  The slots of rows past the matrix end are
+    cleared.  A NaN or infinite coefficient raises ValueError naming its
+    index.
     """
     spec = order_spec(order)
     if N < order:
@@ -133,28 +127,11 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
         if not math.isfinite(c):
             raise ValueError(f"operator coefficient {i} must be finite, got {c}")
     band = min(spec.bandwidth, dim - 1)
-    matrix = BandedMatrix(dim, band, band)
-    # D^order phi_k = sign B_kk R_k: the leading term fills the diagonal
-    lead = spec.diagonal(np.arange(dim, dtype=float))
-    np.multiply(lead, spec.signs[order] * weights[order], out=matrix.data[band])
-    lower = {q: w for q, w in weights.items() if q < order and w != 0.0}
-    if not lower:
-        return matrix
-    for lo, stacks in spec.expansion_blocks(range(dim), lower, matrix.data.nbytes):
-        width = next(iter(stacks.values())).shape[1]
-        # a compact copy of the block's band columns takes every order's
-        # adds; adding into the strided band rows read 5-10% slower at
-        # N >= 1024 (interleaved timing on a 2-vCPU VM)
-        block = matrix.data[:, lo:lo + width].copy()
-        for q, stack in stacks.items():
-            mid = order - q  # stack row mid + d holds offset d
-            reach = min(mid, band)
-            rows = block[band - reach:band + reach + 1]
-            np.add(rows, stack[mid - reach:mid + reach + 1], out=rows)
-        matrix.data[:, lo:lo + width] = block
+    stack = spec.expansion_band(weights, 0, dim)
+    matrix = BandedMatrix(dim, band, band, stack[order - band:order + band + 1])
     # an offset-d coefficient of column k lands in row k + d, past the
     # matrix end for k >= dim - d: clear those slots
-    for d in range(1, min(order - min(lower), band) + 1):
+    for d in range(1, band + 1):
         matrix.data[band + d, dim - d:] = 0.0
     return matrix
 

@@ -4,19 +4,15 @@ Orders 3 and 5 are the m = 1, 2 cases of one construction of order 2m + 1:
 trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
-boundary-data and problem records, operator signs, B1/B2 diagonal,
-monomial tables, closed-form lift and the derivative expansions.  The
-expansions are data: one row per (q, d) holding the constants and rising
-factorials (k+a)_j of the closed form of the coefficient of R_{k+d} in
-D^q phi_k.  `OrderSpec.expansion_blocks` evaluates all rows of an order
-over blocks of consecutive columns in one pass: one half-step sequence
-holds every shift k + a of the block and one product per length extends
-it to every rising factorial, each formed once, and every coefficient is
-formed in the association of the written-out formula, so it is bitwise
-what the formula gives; an offset whose row k + d is negative reads
-exactly 0.0.  `OrderSpec.expansion_table(q, k)` is the offset-keyed view
-of that pass at an int or an array of consecutive columns.  `order_spec`
-is the one place that accepts or rejects an order.
+boundary-data and problem records, operator signs, monomial tables and
+closed-form lift.  Everything in D comes from m as well: the diagonal of
+B = +-D^order is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band`
+builds the weighted expansion of every derivative order for all columns at
+once in 2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a
+stack whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
+`OrderSpec.expansion_table(q, k)` is the same routine with one unit weight,
+keyed by offset, at an int or an array of consecutive columns.
+`order_spec` is the one place that accepts or rejects an order.
 """
 from __future__ import annotations
 
@@ -132,156 +128,6 @@ class FifthOrderProblem:
         return (self.alpha2, self.beta2, self.gamma2, self.delta2, self.mu2)
 
 
-def _b1_diagonal(k):
-    """Diagonal of B1: D^3 phi_k = 2 (k+1)(k+3) R_k^{(1,2)}; k int or array."""
-    return 2.0 * (k + 1) * (k + 3)
-
-
-def _b2_diagonal(k):
-    """Diagonal of B2: -D^5 phi_k = 3 (k+1)(k+2)(k+4)(k+5) R_k^{(2,3)}."""
-    return 3.0 * (k + 1) * (k + 2) * (k + 4) * (k + 5)
-
-
-# --- expansion coefficient rows ------------------------------------------
-#
-# D^order phi_k = sign B_kk R_k, the duality of the two families.  For
-# q < order, row (q, d) of an order gives the coefficient of R_{k+d} (test
-# family) in D^q phi_k, for every column k at once, as
-#
-#     c (k+a1)_j1 (k+a2)_j2 / (c' (k+b1)_i1 (k+b2)_i2),
-#
-# written (q, d, c, c', a1, j1, a2, j2, b1, i1, b2, i2); a length 0 is the
-# empty product and c' is a power of two.  Each product is formed left to right and each rising
-# factorial as the prefix product (k+a) (k+a+1) ... of `jacobi.pochhammer`,
-# so every coefficient is rounded exactly as the closed form written out
-# term by term.  Rising factorials with nonpositive bases truncate the
-# out-of-range terms: a row k + d < 0 reads exactly 0.0.  Rows run over
-# q = order - 1 .. 0 and, within q, over d = q - order .. order - q; every
-# row has a first numerator and a first denominator factor.
-
-MIN_BLOCK = 256  # columns below which a bound on the tables never splits a pass
-
-_THIRD_ROWS = (
-    # q  d       c     c'     a1 j1     a2 j2     b1 i1     b2 i2
-    (2, -1,   -2.0,   2.0,     0, 2,     0, 0,   1.5, 1,     0, 0),
-    (2,  0,   -1.0,   1.0,     1, 1,     3, 1,   1.5, 2,     0, 0),
-    (2,  1,    2.0,   2.0,     3, 2,     0, 0,   2.5, 1,     0, 0),
-    (1, -2,    1.0,   2.0,    -1, 3,     0, 0,     2, 1,   0.5, 2),
-    (1, -1,    1.0,   1.0,     0, 2,     0, 0,   0.5, 3,     0, 0),
-    (1,  0,   -1.0,   1.0,     1, 1,     3, 1,   1.5, 2,     0, 0),
-    (1,  1,   -1.0,   1.0,     3, 2,     0, 0,   1.5, 3,     0, 0),
-    (1,  2,    1.0,   2.0,     3, 3,     0, 0,     2, 1,   2.5, 2),
-    (0, -3,   -1.0,   4.0,    -2, 3,     0, 0,     2, 1,  -0.5, 3),
-    (0, -2,   -3.0,   4.0,    -1, 3,     0, 0,     2, 1,  -0.5, 4),
-    (0, -1,    3.0,   4.0,     0, 2,     0, 0,   0.5, 3,     0, 0),
-    (0,  0,    3.0,   2.0,     1, 1,     3, 1,   0.5, 4,     0, 0),
-    (0,  1,   -3.0,   4.0,     3, 2,     0, 0,   1.5, 3,     0, 0),
-    (0,  2,   -3.0,   4.0,     3, 3,     0, 0,     2, 1,   1.5, 4),
-    (0,  3,    1.0,   4.0,     4, 3,     0, 0,     2, 1,   2.5, 3),
-)
-
-_FIFTH_ROWS = (
-    # q  d       c     c'     a1 j1     a2 j2     b1 i1     b2 i2
-    (4, -1,    3.0,   2.0,     0, 3,     4, 1,   2.5, 1,     0, 0),
-    (4,  0,    3.0,   2.0,     1, 2,     4, 2,   2.5, 2,     0, 0),
-    (4,  1,   -3.0,   2.0,     2, 1,     4, 3,   3.5, 1,     0, 0),
-    (3, -2,   -3.0,   4.0,    -1, 4,     0, 0,   1.5, 2,     0, 0),
-    (3, -1,   -3.0,   2.0,     0, 3,     4, 1,   1.5, 3,     0, 0),
-    (3,  0,    3.0,   2.0,     1, 2,     4, 2,   2.5, 2,     0, 0),
-    (3,  1,    3.0,   2.0,     2, 1,     4, 3,   2.5, 3,     0, 0),
-    (3,  2,   -3.0,   4.0,     4, 4,     0, 0,   3.5, 2,     0, 0),
-    (2, -3,    3.0,   8.0,    -2, 5,     0, 0,     3, 1,   0.5, 3),
-    (2, -2,    9.0,   8.0,    -1, 4,     0, 0,   0.5, 4,     0, 0),
-    (2, -1,   -9.0,   8.0,     0, 3,     4, 1,   1.5, 3,     0, 0),
-    (2,  0,   -9.0,   4.0,     1, 2,     4, 2,   1.5, 4,     0, 0),
-    (2,  1,    9.0,   8.0,     2, 1,     4, 3,   2.5, 3,     0, 0),
-    (2,  2,    9.0,   8.0,     4, 4,     0, 0,   2.5, 4,     0, 0),
-    (2,  3,   -3.0,   8.0,     4, 5,     0, 0,     3, 1,   3.5, 3),
-    (1, -4,   -3.0,  16.0,    -3, 5,     0, 0,     3, 1,  -0.5, 4),
-    (1, -3,   -3.0,   4.0,    -2, 5,     0, 0,     3, 1,  -0.5, 5),
-    (1, -2,    3.0,   4.0,    -1, 4,     0, 0,   0.5, 4,     0, 0),
-    (1, -1,    9.0,   4.0,     0, 3,     4, 1,   0.5, 5,     0, 0),
-    (1,  0,   -9.0,   8.0,     1, 2,     4, 2,   1.5, 4,     0, 0),
-    (1,  1,   -9.0,   4.0,     2, 1,     4, 3,   1.5, 5,     0, 0),
-    (1,  2,    3.0,   4.0,     4, 4,     0, 0,   2.5, 4,     0, 0),
-    (1,  3,    3.0,   4.0,     4, 5,     0, 0,     3, 1,   2.5, 5),
-    (1,  4,   -3.0,  16.0,     5, 5,     0, 0,     3, 1,   3.5, 4),
-    (0, -5,    3.0,  32.0,    -4, 5,     0, 0,     3, 1,  -1.5, 5),
-    (0, -4,   15.0,  32.0,    -3, 5,     0, 0,     3, 1,  -1.5, 6),
-    (0, -3,  -15.0,  32.0,    -2, 5,     0, 0,     3, 1,  -0.5, 5),
-    (0, -2,  -15.0,   8.0,    -1, 4,     0, 0,  -0.5, 6,     0, 0),
-    (0, -1,   15.0,  16.0,     0, 3,     4, 1,   0.5, 5,     0, 0),
-    (0,  0,   45.0,  16.0,     1, 2,     4, 2,   0.5, 6,     0, 0),
-    (0,  1,  -15.0,  16.0,     2, 1,     4, 3,   1.5, 5,     0, 0),
-    (0,  2,  -15.0,   8.0,     4, 4,     0, 0,   1.5, 6,     0, 0),
-    (0,  3,   15.0,  32.0,     4, 5,     0, 0,     3, 1,   2.5, 5),
-    (0,  4,   15.0,  32.0,     5, 5,     0, 0,     3, 1,   2.5, 6),
-    (0,  5,   -3.0,  32.0,     6, 5,     0, 0,     3, 1,   3.5, 5),
-)
-
-
-def _evaluate_rows(rows, columns: range, weights: np.ndarray, max_bytes: int | None):
-    """Yield (lo, values): w_i times row i at columns[lo:lo + m] in values[i].
-
-    One pass serves every row.  Over consecutive columns k = k0 + j a
-    rising factorial depends on k + a alone, and every base a lies on a
-    half-integer grid from lo, so per block one sequence per length t,
-
-        G_t[p] = (x_p)_t,  x_p = k0 + lo + p/2,
-
-    holds every rising factorial of that length the rows name: (k+a)_t at
-    column j is G_t[2 (a - lo) + 2 j].  G_1 is the half-step sequence x_p
-    itself, one add, and G_t = G_{t-1} (x_p + t - 1) one multiply per
-    length, the prefix products of `jacobi.pochhammer`.  One fancy index
-    into a strided view of the sequences gathers one factor slot of every
-    row (an empty product reads the row of ones); the numerators take c/c'
-    and their second factors, the denominators their second factors, each
-    numerator is divided by its denominator and the quotient is scaled by
-    its row's weight (the column `weights`).  A block has as many columns
-    as keep its sequences and products within max_bytes, but at least
-    MIN_BLOCK (all columns if None).  The buffers are reused, so each
-    yielded array is overwritten by the next block.
-    """
-    n, count = len(rows), len(columns)
-    spec = np.fromiter(chain.from_iterable(rows), float, 12 * n).reshape(n, 12)
-    # c' is a power of two, so (c/c') (k+a1)_j1 ... / ((k+b1)_i1 ...) rounds
-    # exactly as c (k+a1)_j1 ... / (c' (k+b1)_i1 ...): a power-of-two scale
-    # commutes with every rounding
-    scales = (spec[:, 2] / spec[:, 3])[:, None]
-    bases, lengths = spec[:, 4::2], spec[:, 5::2].astype(np.intp)
-    lo, longest = bases.min(), lengths.max()
-    steps = (2 * (bases - lo)).astype(np.intp)
-    # per column: the products, a gather of their size and the sequences
-    width = count if max_bytes is None else max(
-        MIN_BLOCK, max_bytes // (8 * (3 * n + 2 * longest)))
-    width = min(width, count)
-    reach = steps.max() + 2 * width - 1  # entries of each G_t a block reads
-    half_steps = 0.5 * np.arange(reach + 2 * longest - 2)
-    # row 0 holds ones, the empty product, and row t holds G_t, so (k+a)_t
-    # at block column j is sequences.flat[at + 2 j]
-    sequences = np.empty((longest + 1, half_steps.size))
-    sequences[0] = 1.0
-    at = (lengths * half_steps.size + steps).T
-    products_buf = np.empty(2 * n * width)
-    for start in range(0, count, width):
-        m = min(width, count - start)
-        used = reach - 2 * (width - m)
-        x = sequences[1, :used + 2 * longest - 2]
-        np.add(half_steps[:x.size], columns[start] + lo, out=x)
-        for t in range(2, longest + 1):
-            np.multiply(sequences[t - 1, :used], sequences[1, 2 * t - 2:2 * t - 2 + used],
-                        out=sequences[t, :used])
-        table = np.ndarray((sequences.size - 2 * m + 2, m), float, sequences, 0, (8, 16))
-        num, den = products_buf[:2 * n * m].reshape(2, n, m)
-        np.multiply(table[at[0]], scales, out=num)
-        num *= table[at[1]]
-        den[...] = table[at[2]]
-        den *= table[at[3]]
-        np.divide(num, den, out=num)
-        num *= weights
-        yield start, num
-
-
 def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
     """Quadratic lift turning the order-3 boundary data homogeneous."""
     am, ap, a1p = bc.a_minus, bc.a_plus, bc.a1_plus
@@ -315,8 +161,6 @@ class OrderSpec:
     bc: type  # boundary-data record, fields in `boundary_points` order
     problem: type  # problem record, operator coefficients first
     signs: dict[int, float]  # sign of D^q in the operator, q = order .. 0
-    expansion_rows: tuple  # closed forms of the D^q phi_k expansions, q < order
-    diagonal: Callable  # diagonal of B = +-D^order in the test family
     mono_to_test: tuple[tuple[float, ...], ...]  # x^d = sum_i [d][i] R_i, test family
     lift: Callable  # closed-form lift coefficients of a `bc` record
 
@@ -338,56 +182,146 @@ class OrderSpec:
         """Number of basis functions at truncation N."""
         return N - 2 * self.m
 
-    def expansion_blocks(self, columns: range, weights, max_bytes: int | None = None):
-        """Yield (lo, stacks) over blocks columns[lo:lo + m] in one pass.
+    def diagonal(self, k):
+        """Diagonal of B = sign D^order: (m+1) (k+1)_m (k+m+2)_m, k int or array.
 
-        columns is a range of consecutive columns k; weights maps each
-        derivative order q < order to evaluate, in descending q, to the
-        factor its stack is multiplied by; max_bytes bounds the tables of a
-        block (one block by default).  stacks[q][i] holds w_q times the
-        coefficient of R_{k+d} (test family) in D^q phi_k at each column of
-        the block, d = i - (order - q): the offsets q - order .. order - q,
-        so offset 0 sits in the middle.  All of them come from one pass
-        over their rows of `expansion_rows`.  Each stack is overwritten by
-        the next block.
+        Multiplied left to right, so it is bitwise 2.0 * (k+1) * (k+3) for
+        order 3 and 3.0 * (k+1) * (k+2) * (k+4) * (k+5) for order 5.
         """
-        rows, spans, scale = [], [], []
-        for q, w in weights.items():
-            # the 2 (order - q) + 1 rows of q follow the (order - q)^2 - 1
-            # rows of the higher orders
-            first = (self.order - q) ** 2 - 1
-            block = self.expansion_rows[first:first + 2 * (self.order - q) + 1]
-            spans.append((q, len(rows), len(rows) + len(block)))
-            rows += block
-            scale += [w] * len(block)
-        for lo, values in _evaluate_rows(rows, columns, np.array(scale)[:, None], max_bytes):
-            yield lo, {q: values[a:b] for q, a, b in spans}
+        value = self.m + 1.0
+        for i in chain(range(1, self.m + 1), range(self.m + 2, 2 * self.m + 2)):
+            value = value * (k + i)
+        return value
+
+    def expansion_band(self, weights, start: int, count: int) -> np.ndarray:
+        """Band rows of sum_q w_q D^q phi_k over the columns k = start .. start + count - 1.
+
+        weights maps derivative orders q = 0 .. order to their factors (a
+        missing q weighs nothing).  Row order + d of the (2 order + 1) x count
+        result holds the coefficient of R_{k+d} (test family) at column k, so
+        the rows are band storage; a row k + d < 0 reads exactly 0.0.
+
+        Every term comes from m through one chain of two-term relations
+        between normalized Jacobi coefficients R = P / P(1) (DLMF 18.9),
+        run as Horner's rule over q.  With D^q phi_k = c_q (1-x)^(m+1-q)
+        (1+x)^(m-q) R_{k+q}^{(m+1-q, m-q)}, c_q = (-2)^q (m+2-q)_q, for q <= m,
+        the sum starts as w_0 at offset 0 in index (m+1, m); each q absorbs
+        (1+x) and (1-x) and adds w_q c_q at offset q.  One more (1-x) reaches
+        Legendre (0, 0); raising b gives index (0, 1), where D^(m+1) phi_k =
+        -C R_{k+m} with C = (-2)^m (m+1)!; each r = 1 .. m raises a and b,
+        and D^(m+1+r) phi_k = lead_r R_{k+m-r}^{(r, r+1)} there, lead_r =
+        lead_{r-1} n (n + 2r) / (2r) with n = k + m - r + 1.  That is 4m + 2
+        relations, ending in the test index (m, m+1) with lead_m = sign B_kk.
+        A relation acts on every row and column at once through views of two
+        coefficient vectors over the degrees, which read 0.0 at negative
+        degrees; a column depends on its k alone, whatever the window.
+        """
+        m, order = self.m, self.order
+        rows, size = 2 * order + 1, count + 2 * order
+        first = max(order - start, 0)  # table slots of negative degree
+        n = size - first
+        base = start - order + first  # degree of table slot `first`
+        # shift[p] is j + p/2 over the degrees j >= 0 of the tables
+        half = np.arange(base, base + n + 2 * order, 0.5)
+        shift = np.ndarray((4 * order + 1, n), float, half, 0, (8, 16))
+
+        stack, part = np.zeros((rows, count)), np.empty((rows, count))
+        x, y = np.zeros(size), np.zeros(size)
+        xs, ys = x[first:], y[first:]
+        # x and y at the degree of row i, column c: slot c + i
+        X, Y = (np.ndarray((rows, count), float, v, 0, (8, 8)) for v in (x, y))
+        lo, hi = order, order - 1  # the rows that hold nonzeros: none yet
+
+        def add(row, term):
+            nonlocal lo, hi
+            stack[row] += term
+            lo, hi = min(lo, row), max(hi, row)
+
+        def relate(step):
+            """R_j = x(j) R'_j + y(j) R'_{j+step}: every row to itself and its neighbour."""
+            nonlocal lo, hi
+            src, sent = stack[lo:hi + 1], part[:hi + 1 - lo]
+            np.multiply(src, Y[lo:hi + 1], out=sent)
+            src *= X[lo:hi + 1]
+            stack[lo + step:hi + 1 + step] += sent
+            lo, hi = min(lo, lo + step), max(hi, hi + step)
+
+        def absorb(a, b, plus):
+            """(1+x) R_j = [(j+b) R_j + (j+a+1) R_{j+1}] / K, (a, b) -> (a, b-1), or
+            (1-x) R_j = a [R_j - R_{j+1}] / K, (a, b) -> (a-1, b); K = j + (a+b+1)/2."""
+            if lo > hi:
+                return
+            k = shift[a + b + 1]
+            if plus:
+                np.divide(shift[2 * b], k, out=xs)
+                np.divide(shift[2 * a + 2], k, out=ys)
+            else:
+                np.divide(a, k, out=xs)
+                np.negative(xs, out=ys)
+            relate(1)
+
+        def promote(a, b, in_a):
+            """R_j = [(j+a+b+1) R'_j + j R'_{j-1}] / s, (a, b) -> (a, b+1), or
+            R_j = [(j+a+b+1)(j+a+1) R'_j - j(j+b) R'_{j-1}] / ((a+1) s),
+            (a, b) -> (a+1, b); s = 2j + a + b + 1.  Both pairs of factors
+            sum to one, so y = 1 - x."""
+            if lo > hi:
+                return
+            np.divide(shift[2 * (a + b + 1)], shift[a + b + 1], out=xs)
+            if in_a:
+                np.multiply(xs, shift[2 * a + 2], out=xs)
+            np.divide(xs, 2 * (a + 1) if in_a else 2, out=xs)
+            np.subtract(1.0, xs, out=ys)
+            relate(-1)
+
+        if weights.get(0, 0.0):
+            add(order, weights[0])
+        for q in range(1, m + 1):
+            absorb(m + 2 - q, m + 1 - q, plus=True)
+            absorb(m + 2 - q, m - q, plus=False)
+            if weights.get(q, 0.0):
+                add(order + q, weights[q] * (-2.0) ** q * math.prod(range(m + 2 - q, m + 2)))
+        absorb(1, 0, plus=False)
+        promote(0, 0, in_a=False)
+        lead = -(-2.0) ** m * math.factorial(m + 1)
+        if weights.get(m + 1, 0.0):
+            add(order + m, weights[m + 1] * lead)
+        for r in range(1, m + 1):
+            promote(r - 1, r, in_a=True)
+            promote(r, r, in_a=False)
+            # times n (n + 2r) / (2r), n = k + m - r + 1: exact integers
+            lead = lead * shift[2 * (start - base + m - r + 1)][:count]
+            lead *= shift[2 * (start - base + m + r + 1)][:count]
+            lead /= 2 * r
+            if weights.get(m + 1 + r, 0.0):
+                add(order + m - r, np.multiply(lead, weights[m + 1 + r], out=part[0]))
+        return stack
 
     def expansion_table(self, q: int, k) -> dict:
         """{d: coefficient of R_{k+d} in D^q phi_k}, d = order - q .. q - order.
 
-        At an int k (float values) or a 1-d array of consecutive int columns
-        (an array per offset): sign * diagonal(k) for q = order, otherwise a
-        view of one `expansion_blocks` pass.
+        At an int k >= 0 (float values) or a nonempty 1-d array of
+        consecutive int columns k >= 0 (an array per offset): the rows of
+        `expansion_band` with the one weight w_q = 1.
         """
         if not 0 <= q <= self.order:
             raise ValueError(
                 f"order-{self.order} expansion defined for q in 0..{self.order}, got {q}"
             )
         cols = np.atleast_1d(k)
+        if cols.ndim != 1 or cols.size == 0:
+            raise ValueError("expansion_table needs an int or a nonempty 1-d array of columns")
         first = int(cols[0])
-        if cols.ndim != 1 or not np.array_equal(cols, np.arange(first, first + cols.size)):
+        if not np.array_equal(cols, np.arange(first, first + cols.size)):
             raise ValueError("expansion_table needs an int or consecutive int columns")
-        if q == self.order:
-            stack = self.signs[q] * self.diagonal(cols.astype(float))[None]
-        else:
-            _, stacks = next(self.expansion_blocks(range(first, first + cols.size), {q: 1.0}))
-            stack = stacks[q]
+        if first < 0:
+            raise ValueError(f"expansion_table needs columns k >= 0, got {first}")
+        stack = self.expansion_band({q: 1.0}, first, cols.size)
         reach = self.order - q
         offsets = range(reach, -reach - 1, -1)
         if np.ndim(k) == 0:
-            return {d: float(stack[reach + d][0]) for d in offsets}
-        return {d: stack[reach + d] for d in offsets}
+            return {d: float(stack[self.order + d][0]) for d in offsets}
+        return {d: stack[self.order + d] for d in offsets}
 
     def weights(self, coefficients) -> dict[int, float]:
         """Signed weight of D^q in the operator, q = order .. 0 (leading one)."""
@@ -405,8 +339,6 @@ SPECS: dict[int, OrderSpec] = {
         bc=ThirdOrderBC,
         problem=ThirdOrderProblem,
         signs={3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion_rows=_THIRD_ROWS,
-        diagonal=_b1_diagonal,
         mono_to_test=(
             (1.0,),
             (1.0 / 5.0, 4.0 / 5.0),
@@ -419,8 +351,6 @@ SPECS: dict[int, OrderSpec] = {
         bc=FifthOrderBC,
         problem=FifthOrderProblem,
         signs={5: -1.0, 4: 1.0, 3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        expansion_rows=_FIFTH_ROWS,
-        diagonal=_b2_diagonal,
         mono_to_test=(
             (1.0,),
             (1.0 / 7.0, 6.0 / 7.0),

@@ -1,5 +1,6 @@
 """CLI behaviour: table content, artifacts, exit codes, byte stability."""
 import csv
+import importlib.util
 import os
 import re
 import subprocess
@@ -262,16 +263,16 @@ class TestVerifyCommand:
     def flip_q0_diagonal(monkeypatch, order):
         """Flip the sign of offset 0 of the q = 0 expansion (E0 or G0 diagonal)."""
         spec = order_spec(order)
-        original = spec.expansion_blocks
+        original = spec.expansion_band
 
-        def flipped(*args, **kwargs):
-            for lo, stacks in original(*args, **kwargs):
-                if 0 in stacks:
-                    diagonal = stacks[0][order]  # offset 0 of the rows -order .. order
-                    np.negative(diagonal, out=diagonal)
-                yield lo, stacks
+        def flipped(weights, start, count):
+            stack = original(weights, start, count)
+            if weights.get(0, 0.0):
+                e0 = original({0: 1.0}, start, count)[order]  # row order: offset 0
+                stack[order] -= 2.0 * weights[0] * e0
+            return stack
 
-        monkeypatch.setattr(spec, "expansion_blocks", flipped)
+        monkeypatch.setattr(spec, "expansion_band", flipped)
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_mutated_assembly_fails_naming_entry(self, monkeypatch, order):
@@ -310,6 +311,30 @@ class TestVerifyCommand:
         rows = read_csv(tmp_path / "verify.csv")
         assert rows[0] == ["suite", "status", "max_deviation", "tolerance", "detail"]
         assert [(r[0], r[3]) for r in rows[1:]] == VERIFY_LAYOUT
+
+    @pytest.mark.parametrize("edit,code,printed", [
+        (None, 0, "0 numeric cells moved"),
+        (("t.csv", "n,x\n1,0.5000000000000001\n"), 0, "t.csv:2:x  0.5 -> 0.5000000000000001"),
+        (("t.csv", "n,x\n1,0.6\n"), 1, "FAIL t.csv:2:x: moved by 0.1"),
+        (("t.csv", "n,x\none,0.5\n"), 1, "FAIL t.csv:2:n: '1' against 'one'"),
+        (("t.csv", "n,x\n1,0.5\n2,0.5\n"), 1, "FAIL t.csv: 2 rows against 3"),
+        (("report.txt", "N 16 ops 244 extra\n"), 1, "FAIL report.txt:1: 4 cells against 5"),
+        (("extra.csv", "n\n"), 1, "only in"),
+    ])
+    def test_diff_outputs_script(self, tmp_path, capsys, edit, code, printed):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "diff_outputs", root / "scripts" / "diff_outputs.py")
+        diff_outputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(diff_outputs)
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "t.csv").write_text("n,x\n1,0.5\n")
+            (tmp_path / side / "report.txt").write_text("N 16 ops 244\n")
+        if edit is not None:
+            (tmp_path / "b" / edit[0]).write_text(edit[1])
+        assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == code
+        assert printed in capsys.readouterr().out
 
 
 class TestRunConfigApi:
