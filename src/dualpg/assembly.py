@@ -20,7 +20,8 @@ relations over all columns at once, whose rows are the band rows.
 
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
-the test expansion through hand-derived monomial tables (no quadrature).
+the test expansion through the monomial tables that `OrderSpec` derives
+from the test family's three-term recurrence (no quadrature).
 """
 from __future__ import annotations
 
@@ -119,8 +120,6 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     index.
     """
     spec = order_spec(order)
-    if N < order:
-        raise ValueError(f"order-{order} assembly needs N >= {order}, got {N}")
     dim = spec.dimension(N)
     weights = spec.weights(coefficients)
     for i, c in enumerate(coefficients):
@@ -254,7 +253,7 @@ def assemble(problem, N: int) -> BandSystem:
 def operator_oracle_matrix(order: int, coefficients, N: int) -> np.ndarray:
     """Dense ground-truth matrix: entry [k, j] is (L phi_j, psi_k) / h_k.
 
-    Independent of the closed-form tables: phi derivatives come from the
+    Independent of `OrderSpec.expansion_band`: phi derivatives come from the
     exact product rule and each integral from a unit-weight Gauss-Legendre
     rule sized N + 16 (the integrand is a polynomial of degree <= 2N + 1).
     Each sum is compensated, since the 1/h_k normalization amplifies

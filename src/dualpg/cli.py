@@ -229,6 +229,10 @@ def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
         raise UsageError(f"{config.command} needs {n_coeffs} operator coefficients")
 
     family = None
+    if config.example is not None and config.rhs_poly is not None:
+        raise UsageError(f"{config.command} takes --example or --rhs-poly, not both")
+    if config.example is None and (config.j is not None or config.m is not None):
+        raise UsageError(f"{config.command}: --j and --m set an --example family")
     if config.example is not None:
         family = make_family(config.example, j=config.j, m=config.m)
         if family.order != order:
@@ -258,8 +262,9 @@ def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
     rows: list[list[str]] = []
     for k, a in enumerate(solution.coefficients):
         rows.append(["coefficient", str(k), repr(float(a))])
-    for x in np.linspace(-1.0, 1.0, 21):
-        rows.append(["sample", _fmt(x, 6), _fmt_err(evaluate_solution(solution, x))])
+    grid = np.linspace(-1.0, 1.0, 21)
+    for x, u in zip(grid, evaluate_solution(solution, grid)):
+        rows.append(["sample", _fmt(x, 6), _fmt_err(u)])
     rows.append(["residual_inf", "", _fmt_err(residual)])
     if family is not None:
         rows.append(["max_error", "", _fmt_err(max_pointwise_error(solution, family.exact))])

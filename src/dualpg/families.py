@@ -120,7 +120,7 @@ def _with_derivatives(
 
 
 def make_family(family_id: int, j: int | None = None, m: float | None = None) -> ExampleFamily:
-    """Construct one of the three built-in families."""
+    """Construct one of the three built-in families; only family 1 takes j."""
     if family_id == 1:
         j = 1 if j is None else j
         m = 1 if m is None else m
@@ -134,6 +134,8 @@ def make_family(family_id: int, j: int | None = None, m: float | None = None) ->
         poly[j + 2] = -1.0  # (1 - x^2) x^j
         u = TrigPolySum(omega=int(m) * np.pi, terms=(("sin", tuple(poly)),))
         return _with_derivatives(3, u, homogeneous=True)
+    if family_id in (2, 3) and j is not None:
+        raise ValueError(f"family {family_id} takes no j, got j = {j}")
     if family_id == 2:
         m = 1.0 if m is None else float(m)
         poly = (1.0, -1.0, -2.0, 2.0, 1.0, -1.0)  # (1-x^2)^2 (1-x)

@@ -17,6 +17,12 @@ fifth-order trial/test pairs used by the solver, `eval_phi` and
 Derivatives of phi_k are exact: Leibniz product rule over the polynomial
 weight factor times the Jacobi index-shift derivative, never finite
 differences.
+
+`legendre_expansion_J` takes any ell, m <= 0 to Legendre coefficients by
+absorbing the weight factors in two-term relations.  They are two of the
+four relations that `OrderSpec.expansion_band` runs in place on its
+strided band stack; that stack is tuned for its per-step cost, and sharing
+the code would make it branch on its caller, so each keeps its own.
 """
 from __future__ import annotations
 
@@ -99,52 +105,34 @@ def eval_psi(order: int, k: int, x):
 
 
 def legendre_expansion_J(idx: GJPIndex, k: int) -> np.ndarray:
-    """Legendre coefficients of J_k^{(ell,m)} for the four solver index pairs.
+    """Legendre coefficients c of J_k^{(ell,m)} = sum_i c[i] L_i, length k+1, for ell, m <= 0.
 
-    Returns c with J_k = sum_i c[i] L_i, length k+1.
+    Starts from R_{k-k0} in the index (a, b) = (-ell, -m) and absorbs the
+    weight factors one at a time, K = j + (a+b+1)/2: first each (1+x),
+    (1+x) R_j = [(j+b) R_j + (j+a+1) R_{j+1}] / K with (a, b) -> (a, b-1),
+    then each (1-x), (1-x) R_j = a [R_j - R_{j+1}] / K with (a, b) -> (a-1, b),
+    ending at (0, 0) where R_j = L_j.
     """
-    pair = (idx.ell, idx.m)
-    if pair == (-2, -1):
-        if k < 3:
-            raise ValueError("expansion of J^{(-2,-1)} needs k >= 3")
-        lead = 4.0 / ((k - 1) * (2 * k - 3))
-        ratio = (2 * k - 3) / (2 * k - 1)
-        entries = {k - 3: 1.0, k - 2: -ratio, k - 1: -1.0, k: ratio}
-    elif pair == (-1, -2):
-        if k < 3:
-            raise ValueError("expansion of J^{(-1,-2)} needs k >= 3")
-        lead = 2.0 / (2 * k - 3)
-        ratio = (2 * k - 3) / (2 * k - 1)
-        entries = {k - 3: 1.0, k - 2: ratio, k - 1: -1.0, k: -ratio}
-    elif pair == (-3, -2):
-        if k < 5:
-            raise ValueError("expansion of J^{(-3,-2)} needs k >= 5")
-        lead = 24.0 / ((2 * k - 5) * (2 * k - 7) * (k - 2))
-        entries = {
-            k - 5: 1.0,
-            k - 4: -(2 * k - 7) / (2 * k - 3),
-            k - 3: -2.0 * (2 * k - 5) / (2 * k - 3),
-            k - 2: 2.0 * (2 * k - 7) / (2 * k - 1),
-            k - 1: (2 * k - 7) / (2 * k - 3),
-            k: -(2 * k - 5) * (2 * k - 7) / ((2 * k - 1) * (2 * k - 3)),
-        }
-    elif pair == (-2, -3):
-        if k < 5:
-            raise ValueError("expansion of J^{(-2,-3)} needs k >= 5")
-        lead = 8.0 / ((2 * k - 5) * (2 * k - 7))
-        entries = {
-            k - 5: 1.0,
-            k - 4: (2 * k - 7) / (2 * k - 3),
-            k - 3: -2.0 * (2 * k - 5) / (2 * k - 3),
-            k - 2: -2.0 * (2 * k - 7) / (2 * k - 1),
-            k - 1: (2 * k - 7) / (2 * k - 3),
-            k: (2 * k - 5) * (2 * k - 7) / ((2 * k - 1) * (2 * k - 3)),
-        }
-    else:
-        raise ValueError(f"no Legendre expansion for index pair {pair}")
-    coeffs = np.zeros(k + 1)
-    for degree, value in entries.items():
-        coeffs[degree] = lead * value
+    if idx.ell > 0 or idx.m > 0:
+        raise ValueError(f"Legendre expansion needs ell, m <= 0, got ({idx.ell}, {idx.m})")
+    k0 = idx.offset
+    if k < k0:
+        raise ValueError(f"expansion of J^{{({idx.ell},{idx.m})}} needs k >= {k0}, got {k}")
+    a, b = -idx.ell, -idx.m
+    coeffs = np.zeros(k - k0 + 1)
+    coeffs[-1] = 1.0
+    while a or b:
+        j = np.arange(coeffs.size)
+        K = j + (a + b + 1) / 2
+        if b:
+            here, up = coeffs * (j + b) / K, coeffs * (j + a + 1) / K
+            b -= 1
+        else:
+            here = coeffs * a / K
+            up = -here
+            a -= 1
+        coeffs = np.append(here, 0.0)
+        coeffs[1:] += up
     return coeffs
 
 

@@ -96,6 +96,8 @@ def _R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
 
 def eval_R_table(params: JacobiParams, nmax: int, x: np.ndarray) -> np.ndarray:
     """Table of R_0 .. R_nmax at the points x, shape (nmax+1, x.size)."""
+    if nmax < 0:
+        raise ValueError("degree must be nonnegative")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     table = np.empty((nmax + 1, x.size))
     for n, row in enumerate(_R_rows(params, nmax, x)):

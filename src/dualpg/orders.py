@@ -4,12 +4,12 @@ Orders 3 and 5 are the m = 1, 2 cases of one construction of order 2m + 1:
 trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
-boundary-data and problem records, operator signs, monomial tables and
-closed-form lift.  Everything in D comes from m as well: the diagonal of
-B = +-D^order is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band`
-builds the weighted expansion of every derivative order for all columns at
-once in 2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a
-stack whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
+boundary-data and problem records and the operator signs.  The lift, the
+monomial tables and D come from m as well: the diagonal of B = +-D^order
+is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band` builds the
+weighted expansion of every derivative order for all columns at once in
+2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a stack
+whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
 `OrderSpec.expansion_table(q, k)` is the same routine with one unit weight,
 keyed by offset, at an int or an array of consecutive columns.
 `order_spec` is the one place that accepts or rejects an order.
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from itertools import chain
 from numbers import Real
+from operator import mul
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -128,41 +130,40 @@ class FifthOrderProblem:
         return (self.alpha2, self.beta2, self.gamma2, self.delta2, self.mu2)
 
 
-def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
-    """Quadratic lift turning the order-3 boundary data homogeneous."""
-    am, ap, a1p = bc.a_minus, bc.a_plus, bc.a1_plus
-    a0 = (-am - 3.0 * ap + 2.0 * a1p) / 4.0
-    a1 = (am - ap) / 2.0
-    a2 = (-am + ap - 2.0 * a1p) / 4.0
-    return (a0, a1, a2)
+def _monomial_expansions(a: int, b: int, count: int) -> tuple[tuple[float, ...], ...]:
+    """x^d = sum_i [d][i] R_i^{(a,b)} for d < count, each entry rounded once.
 
-
-def _lift_fifth(bc: FifthOrderBC) -> tuple[float, float, float, float, float]:
-    """Quartic lift for the order-5 boundary data (interpolates all five)."""
-    am, ap = bc.a_minus, bc.a_plus
-    a1m, a1p, a2p = bc.a1_minus, bc.a1_plus, bc.a2_plus
-    a0 = (-2.0 * a1m + 8.0 * a1p - 2.0 * a2p - 5.0 * am - 11.0 * ap) / 16.0
-    a1 = (a1m + a1p + 3.0 * am - 3.0 * ap) / 4.0
-    a2 = (-6.0 * a1p + 2.0 * a2p - 3.0 * am + 3.0 * ap) / 8.0
-    a3 = (-a1m - a1p - am + ap) / 4.0
-    a4 = (-2.0 * a2p + 4.0 * a1p + 2.0 * a1m + 3.0 * am - 3.0 * ap) / 16.0
-    return (a0, a1, a2, a3, a4)
+    Runs x R_j = alpha_j R_{j+1} + beta_j R_j + gamma_j R_{j-1} in exact
+    rationals, s = 2j + a + b + 1: alpha_j = 2 (j+a+b+1) (j+a+1) / (s (s+1)),
+    beta_j = (b^2 - a^2) / ((s-1) (s+1)), gamma_j = 2j (j+b) / ((s-1) s).
+    These hold at j = 0 for a + b > 0.
+    """
+    rows = [[Fraction(1)]]
+    for _ in range(count - 1):
+        row = [Fraction(0)] * (len(rows[-1]) + 1)
+        for j, c in enumerate(rows[-1]):
+            s = 2 * j + a + b + 1
+            row[j + 1] += c * Fraction(2 * (j + a + b + 1) * (j + a + 1), s * (s + 1))
+            row[j] += c * Fraction(b * b - a * a, (s - 1) * (s + 1))
+            if j:
+                row[j - 1] += c * Fraction(2 * j * (j + b), (s - 1) * s)
+        rows.append(row)
+    return tuple(tuple(float(c) for c in row) for row in rows)
 
 
 @dataclass(eq=False)
 class OrderSpec:
     """Everything order-dependent about one odd order 2m + 1.
 
-    The fields are the tabulated data; `__post_init__` derives the rest
-    from m.  `SPECS` holds one instance per supported order.
+    The fields are the tabulated data: the two records and the operator
+    signs; `__post_init__` derives the rest from m.  `SPECS` holds one
+    instance per supported order.
     """
 
     order: int
     bc: type  # boundary-data record, fields in `boundary_points` order
     problem: type  # problem record, operator coefficients first
     signs: dict[int, float]  # sign of D^q in the operator, q = order .. 0
-    mono_to_test: tuple[tuple[float, ...], ...]  # x^d = sum_i [d][i] R_i, test family
-    lift: Callable  # closed-form lift coefficients of a `bc` record
 
     def __post_init__(self) -> None:
         m = self.m = (self.order - 1) // 2  # also the label n of B_n, D_n
@@ -177,9 +178,27 @@ class OrderSpec:
         self.boundary_points = tuple(
             (i, x) for i in range(m + 1) for x in (-1.0, 1.0) if i < m or x > 0.0
         )
+        size = self.n_coefficients
+        # H[r][d] = D^i x^d at boundary point r = (i, x); -H^-1 is dyadic for
+        # orders 3 and 5, so the inverse comes back exact
+        H = [[math.perm(d, i) * x ** (d - i) if d >= i else 0.0 for d in range(size)]
+             for i, x in self.boundary_points]
+        self.lift_matrix = (-np.linalg.inv(H)).tolist()
+        # x^d = sum_i mono_to_test[d][i] R_i^{(m,m+1)}, d = 0 .. 2m
+        self.mono_to_test = _monomial_expansions(m, m + 1, size)
+
+    def lift(self, bc) -> tuple[float, ...]:
+        """Coefficients c = -H^-1 v of the lift sum_d c_d x^d, v the values of `bc`.
+
+        Each sum runs left to right from +0.0: zero data gives +0.0 coefficients.
+        """
+        values = [getattr(bc, f.name) for f in fields(bc)]
+        return tuple(sum(map(mul, row, values)) for row in self.lift_matrix)
 
     def dimension(self, N: int) -> int:
-        """Number of basis functions at truncation N."""
+        """Number of basis functions at truncation N; ValueError for N < order."""
+        if N < self.order:
+            raise ValueError(f"order-{self.order} system needs N >= {self.order}, got {N}")
         return N - 2 * self.m
 
     def diagonal(self, k):
@@ -339,26 +358,12 @@ SPECS: dict[int, OrderSpec] = {
         bc=ThirdOrderBC,
         problem=ThirdOrderProblem,
         signs={3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        mono_to_test=(
-            (1.0,),
-            (1.0 / 5.0, 4.0 / 5.0),
-            (1.0 / 5.0, 8.0 / 35.0, 4.0 / 7.0),
-        ),
-        lift=_lift_third,
     ),
     5: OrderSpec(
         order=5,
         bc=FifthOrderBC,
         problem=FifthOrderProblem,
         signs={5: -1.0, 4: 1.0, 3: 1.0, 2: -1.0, 1: -1.0, 0: 1.0},
-        mono_to_test=(
-            (1.0,),
-            (1.0 / 7.0, 6.0 / 7.0),
-            (1.0 / 7.0, 4.0 / 21.0, 2.0 / 3.0),
-            (1.0 / 21.0, 2.0 / 7.0, 2.0 / 11.0, 16.0 / 33.0),
-            (1.0 / 21.0, 8.0 / 77.0, 4.0 / 11.0, 64.0 / 429.0, 48.0 / 143.0),
-        ),
-        lift=_lift_fifth,
     ),
 }
 

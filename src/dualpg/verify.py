@@ -2,10 +2,11 @@
 
 Each suite checks one pile of identities or one dual-route equivalence and
 reports its worst deviation against a pinned tolerance.  The assembled
-matrices are defined by the quadrature oracle: the closed-form tables must
-match it, and the alternative tabulated entry formulas shipped for
-cross-checking are compared against the oracle separately, with any
-disagreement enumerated (both values shown) rather than silently adopted.
+matrices are defined by the quadrature oracle: the expansions that
+`OrderSpec` derives from m must match it, and the alternative tabulated
+entry formulas shipped for cross-checking are compared against the oracle
+separately, with any disagreement enumerated (both values shown) rather
+than silently adopted.
 
 Every per-order suite is written once and reads the order's facts from
 `order_spec(order)`.  What the spec cannot derive (the sample sets and
@@ -217,7 +218,7 @@ def suite_derivative_identity(order: int) -> SuiteResult:
 
 
 def suite_expansions(order: int) -> SuiteResult:
-    """D^q phi_k (q < order) matches its closed-form test-family expansion."""
+    """D^q phi_k (q < order) matches its derived test-family expansion."""
     spec = order_spec(order)
     x = CHEBYSHEV_SAMPLES
     worst = 0.0
@@ -234,7 +235,7 @@ def suite_expansions(order: int) -> SuiteResult:
 
 
 def suite_legendre_expansions() -> SuiteResult:
-    """The four explicit Legendre expansions match direct evaluation."""
+    """The derived Legendre expansions of the four solver pairs match direct evaluation."""
     x = CHEBYSHEV_SAMPLES
     worst = 0.0
     for ell, m, kmin in ((-2, -1, 3), (-1, -2, 3), (-3, -2, 5), (-2, -3, 5)):

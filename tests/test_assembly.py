@@ -1,4 +1,5 @@
 """System assembly against the quadrature oracle, projections, and lifting."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from dualpg import (
     rhs_projection_fifth,
     rhs_projection_third,
 )
+from dualpg.analysis import SpectralSolution, condition_diagonal
 from dualpg.assembly import (
     FifthOrderBC,
     FifthOrderProblem,
@@ -30,6 +32,7 @@ from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h, pochha
 from dualpg.orders import order_spec
 
 unit_coeff = st.floats(-1.0, 1.0, allow_nan=False)
+P = np.polynomial.polynomial
 
 
 def _b1_diagonal(k):
@@ -467,6 +470,119 @@ class TestRhsProjection:
         # a kink never settles; refinement must stop at the node budget
         with pytest.raises(ConvergenceError, match="quadrature nodes"):
             rhs_projection(order, np.abs, N)
+
+
+# --- reference lifts and monomial tables -----------------------------------
+#
+# The closed-form lifts and literal monomial tables that `OrderSpec` used to
+# carry, kept as references for what it now derives from m: the lift as
+# -H^-1 applied to the boundary data and the tables from the test family's
+# three-term recurrence in exact rationals.
+
+
+def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
+    """Quadratic lift turning the order-3 boundary data homogeneous."""
+    am, ap, a1p = bc.a_minus, bc.a_plus, bc.a1_plus
+    a0 = (-am - 3.0 * ap + 2.0 * a1p) / 4.0
+    a1 = (am - ap) / 2.0
+    a2 = (-am + ap - 2.0 * a1p) / 4.0
+    return (a0, a1, a2)
+
+
+def _lift_fifth(bc: FifthOrderBC) -> tuple[float, float, float, float, float]:
+    """Quartic lift for the order-5 boundary data (interpolates all five)."""
+    am, ap = bc.a_minus, bc.a_plus
+    a1m, a1p, a2p = bc.a1_minus, bc.a1_plus, bc.a2_plus
+    a0 = (-2.0 * a1m + 8.0 * a1p - 2.0 * a2p - 5.0 * am - 11.0 * ap) / 16.0
+    a1 = (a1m + a1p + 3.0 * am - 3.0 * ap) / 4.0
+    a2 = (-6.0 * a1p + 2.0 * a2p - 3.0 * am + 3.0 * ap) / 8.0
+    a3 = (-a1m - a1p - am + ap) / 4.0
+    a4 = (-2.0 * a2p + 4.0 * a1p + 2.0 * a1m + 3.0 * am - 3.0 * ap) / 16.0
+    return (a0, a1, a2, a3, a4)
+
+
+# x^d = sum_i MONO_TO_TEST[order][d][i] R_i, test family
+MONO_TO_TEST = {
+    3: (
+        (1.0,),
+        (1.0 / 5.0, 4.0 / 5.0),
+        (1.0 / 5.0, 8.0 / 35.0, 4.0 / 7.0),
+    ),
+    5: (
+        (1.0,),
+        (1.0 / 7.0, 6.0 / 7.0),
+        (1.0 / 7.0, 4.0 / 21.0, 2.0 / 3.0),
+        (1.0 / 21.0, 2.0 / 7.0, 2.0 / 11.0, 16.0 / 33.0),
+        (1.0 / 21.0, 8.0 / 77.0, 4.0 / 11.0, 64.0 / 429.0, 48.0 / 143.0),
+    ),
+}
+
+# boundary data of both signs over magnitudes 1e-6 .. 1e6
+signed_datum = st.builds(
+    lambda power, sign: sign * 10.0 ** power,
+    st.floats(-6.0, 6.0), st.sampled_from([-1.0, 1.0]),
+)
+
+
+def bc_values(bc) -> np.ndarray:
+    return np.array([getattr(bc, f.name) for f in dataclasses.fields(bc)])
+
+
+class TestDerivedLift:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_inverse_is_exact(self, order):
+        # H[r][d] = D^i x^d at boundary point r = (i, x), built from polyder
+        spec = order_spec(order)
+        size = spec.n_coefficients
+        unit = np.eye(size)
+        H = np.array([[P.polyval(x, P.polyder(unit[d], i)) for d in range(size)]
+                      for i, x in spec.boundary_points])
+        assert np.array_equal(np.array(spec.lift_matrix) @ H, -np.eye(size))
+
+    @given(st.lists(signed_datum, min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_third_bitwise_closed_form(self, data):
+        bc = ThirdOrderBC(*data)
+        got = np.array(order_spec(3).lift(bc))
+        assert got.tobytes() == np.array(_lift_third(bc)).tobytes()
+
+    @given(st.lists(signed_datum, min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_fifth_within_rounding_of_closed_form(self, data):
+        bc = FifthOrderBC(*data)
+        spec = order_spec(5)
+        scale = np.abs(np.array(spec.lift_matrix)) @ np.abs(bc_values(bc))
+        excess = np.abs(np.array(spec.lift(bc)) - _lift_fifth(bc)) - 4.0 * EPS * scale
+        assert np.all(excess <= 0.0), float(np.max(excess))
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_zero_data_gives_positive_zeros(self, order):
+        spec = order_spec(order)
+        coefficients = np.array(spec.lift(spec.bc()))
+        assert not np.any(coefficients) and not np.any(np.signbit(coefficients))
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_monomial_tables_bitwise_literal(self, order):
+        assert order_spec(order).mono_to_test == MONO_TO_TEST[order]
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: operator_matrix(3, (1.0, 1.0, 1.0), N),
+    lambda N: operator_matrix(5, (1.0,) * 5, N + 2),
+    lambda N: rhs_projection(3, np.cosh, N),
+    lambda N: rhs_projection(5, np.cosh, N + 2),
+    lambda N: rhs_projection_third(np.cosh, N),
+    lambda N: condition_diagonal(3, N),
+    lambda N: condition_diagonal(5, N + 2),
+    lambda N: SpectralSolution(3, N, np.zeros(0), lift_third(ThirdOrderBC())),
+], ids=["operator_matrix-3", "operator_matrix-5", "rhs_projection-3", "rhs_projection-5",
+        "rhs_projection_third", "condition_diagonal-3", "condition_diagonal-5",
+        "SpectralSolution"])
+@pytest.mark.parametrize("N", [2, 0, -5])
+def test_truncation_below_order_rejected(call, N):
+    # N + 2 reaches the order-5 routes at 4, 2 and -3: all below 5
+    with pytest.raises(ValueError, match=r"order-\d system needs N >= \d, got -?\d"):
+        call(N)
 
 
 class TestLiftThird:

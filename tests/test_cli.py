@@ -202,6 +202,16 @@ class TestSolve:
     def test_usage_error_wrong_example_order(self, capsys):
         assert main(["solve5", "--n", "12", "--example", "1"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--example", "3", "--m", "1", "--rhs-poly", "5,6"], "not both"),
+        (["--rhs-poly", "1", "--j", "2"], "--j and --m set an --example family"),
+        (["--rhs-poly", "1", "--m", "2"], "--j and --m set an --example family"),
+        (["--example", "3", "--j", "2"], "family 3 takes no j"),
+    ])
+    def test_usage_error_dropped_flag(self, capsys, argv, message):
+        assert main(["solve3", "--n", "12", *argv]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,field", [
         (["solve3", "--n", "12", "--rhs-poly", "1", "--coeffs", "nan,1,1"], "alpha1"),
         (["solve3", "--n", "12", "--example", "1", "--coeffs", "inf,1,1"], "alpha1"),
@@ -320,6 +330,9 @@ class TestVerifyCommand:
         (("t.csv", "n,x\n1,0.5\n2,0.5\n"), 1, "FAIL t.csv: 2 rows against 3"),
         (("report.txt", "N 16 ops 244 extra\n"), 1, "FAIL report.txt:1: 4 cells against 5"),
         (("extra.csv", "n\n"), 1, "only in"),
+        # a computed cell moving at rounding level can shift its ratio by tenths
+        (("e.csv", "error,reference,ratio\n2e-16,3.333e-16,0.6\n"), 0,
+         "e.csv:2:ratio  0.3 -> 0.6  |delta| = 0.3"),
     ])
     def test_diff_outputs_script(self, tmp_path, capsys, edit, code, printed):
         root = Path(__file__).resolve().parents[1]
@@ -331,6 +344,7 @@ class TestVerifyCommand:
             (tmp_path / side).mkdir()
             (tmp_path / side / "t.csv").write_text("n,x\n1,0.5\n")
             (tmp_path / side / "report.txt").write_text("N 16 ops 244\n")
+            (tmp_path / side / "e.csv").write_text("error,reference,ratio\n1e-16,3.333e-16,0.3\n")
         if edit is not None:
             (tmp_path / "b" / edit[0]).write_text(edit[1])
         assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == code

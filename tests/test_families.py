@@ -114,3 +114,9 @@ class TestFamilyThree:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             make_family(4)
+
+    @pytest.mark.parametrize("family_id", [2, 3])
+    def test_j_rejected_where_unused(self, family_id):
+        with pytest.raises(ValueError, match=f"family {family_id} takes no j"):
+            make_family(family_id, j=3)
+        assert make_family(family_id, j=None, m=2.0).exact.omega == 2.0

@@ -13,6 +13,50 @@ from dualpg.gjp import (
 from dualpg.jacobi import JacobiParams, eval_R, gauss_jacobi_rule, norm_h
 
 X = np.cos(np.pi * np.arange(1, 34) / 34.0)
+EPS = np.finfo(float).eps
+
+
+def _reference_expansion_J(idx: GJPIndex, k: int) -> np.ndarray:
+    """The hand-written Legendre coefficients of J_k for the four solver pairs.
+
+    `legendre_expansion_J` used to carry these; it now derives every pair
+    with ell, m <= 0 by absorbing the weight factors in two-term relations.
+    """
+    pair = (idx.ell, idx.m)
+    if pair == (-2, -1):
+        lead = 4.0 / ((k - 1) * (2 * k - 3))
+        ratio = (2 * k - 3) / (2 * k - 1)
+        entries = {k - 3: 1.0, k - 2: -ratio, k - 1: -1.0, k: ratio}
+    elif pair == (-1, -2):
+        lead = 2.0 / (2 * k - 3)
+        ratio = (2 * k - 3) / (2 * k - 1)
+        entries = {k - 3: 1.0, k - 2: ratio, k - 1: -1.0, k: -ratio}
+    elif pair == (-3, -2):
+        lead = 24.0 / ((2 * k - 5) * (2 * k - 7) * (k - 2))
+        entries = {
+            k - 5: 1.0,
+            k - 4: -(2 * k - 7) / (2 * k - 3),
+            k - 3: -2.0 * (2 * k - 5) / (2 * k - 3),
+            k - 2: 2.0 * (2 * k - 7) / (2 * k - 1),
+            k - 1: (2 * k - 7) / (2 * k - 3),
+            k: -(2 * k - 5) * (2 * k - 7) / ((2 * k - 1) * (2 * k - 3)),
+        }
+    elif pair == (-2, -3):
+        lead = 8.0 / ((2 * k - 5) * (2 * k - 7))
+        entries = {
+            k - 5: 1.0,
+            k - 4: (2 * k - 7) / (2 * k - 3),
+            k - 3: -2.0 * (2 * k - 5) / (2 * k - 3),
+            k - 2: -2.0 * (2 * k - 7) / (2 * k - 1),
+            k - 1: (2 * k - 7) / (2 * k - 3),
+            k: (2 * k - 5) * (2 * k - 7) / ((2 * k - 1) * (2 * k - 3)),
+        }
+    else:
+        raise ValueError(f"no reference expansion for index pair {pair}")
+    coeffs = np.zeros(k + 1)
+    for degree, value in entries.items():
+        coeffs[degree] = lead * value
+    return coeffs
 
 
 class TestEvalJ:
@@ -150,10 +194,28 @@ class TestLegendreExpansions:
         assert series == pytest.approx(eval_J(idx, 7, 0.3), abs=1e-11)
 
     def test_unsupported_pair_rejected(self):
-        with pytest.raises(ValueError):
-            legendre_expansion_J(GJPIndex(-4, -1), 6)
+        # a positive index keeps its factor inside R: no weight to absorb
+        with pytest.raises(ValueError, match="ell, m <= 0"):
+            legendre_expansion_J(GJPIndex(1, -2), 6)
 
     def test_degree_floor_enforced(self):
         with pytest.raises(ValueError):
             legendre_expansion_J(GJPIndex(-3, -2), 4)
+
+    @pytest.mark.parametrize("ell,m,kmin", [(-2, -1, 3), (-1, -2, 3), (-3, -2, 5), (-2, -3, 5)])
+    def test_matches_hand_written_expansions(self, ell, m, kmin):
+        idx = GJPIndex(ell, m)
+        for k in range(kmin, 41):
+            expect = _reference_expansion_J(idx, k)
+            got = legendre_expansion_J(idx, k)
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 4.0 * EPS * np.max(np.abs(expect)), k
+
+    @pytest.mark.parametrize("m", range(-5, 1))
+    @pytest.mark.parametrize("ell", range(-5, 1))
+    def test_any_nonpositive_pair_matches_direct_evaluation(self, ell, m):
+        idx = GJPIndex(ell, m)
+        for k in range(idx.offset, idx.offset + 21):
+            series = eval_legendre_series(legendre_expansion_J(idx, k), X)
+            assert np.max(np.abs(series - eval_J(idx, k, X))) < 1e-11, k
 

@@ -85,6 +85,13 @@ class TestEvalR:
         with pytest.raises(ValueError):
             JacobiParams(-2.0, 0.0)
 
+    def test_negative_degree_rejected(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            eval_R(P12, -1, x)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            eval_R_table(P12, -1, x)
+
 
 class TestDerivative:
     def test_zeroth_is_identity(self):
