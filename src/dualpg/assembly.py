@@ -18,10 +18,12 @@ both values.  `operator_matrix` takes the whole band, B included, from
 one `OrderSpec.expansion_band` call: a chain of 4m + 2 two-term Jacobi
 relations over all columns at once, whose rows are the band rows.
 
+The right-hand side f*_k = (f, R_k)_w / h_k is f's coefficient vector in
+the test family, taken by a Chebyshev transform without quadrature.
 Nonhomogeneous boundary data is removed by subtracting a low-degree lift
 polynomial; the induced right-hand-side correction is projected exactly on
 the test expansion through the monomial tables that `OrderSpec` derives
-from the test family's three-term recurrence (no quadrature).
+from the test family's three-term recurrence.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from .gjp import eval_phi, eval_psi
 from .jacobi import (
     ConvergenceError,
     JacobiParams,
-    eval_R_table,
     gauss_jacobi_rule,
     norm_h,
 )
@@ -65,10 +66,6 @@ __all__ = [
     "modified_rhs",
     "operator_oracle_matrix",
 ]
-
-PROJECTION_TOL = 1e-14
-PROJECTION_MAX_NODES = 2560
-
 
 @dataclass(frozen=True)
 class LiftPolynomial:
@@ -135,63 +132,101 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
     return matrix
 
 
+def _chop(c: np.ndarray) -> int | None:
+    """Length of the Chebyshev series c to keep, None while it has no plateau.
+
+    Aurentz & Trefethen's standardChop (ACM TOMS 43, 2017) at tolerance eps,
+    1-based as there.  A series within 16 eps of 0 is rounding noise (of an
+    rhs L u = 0, say) and keeps nothing.
+    """
+    tol = np.finfo(float).eps
+    envelope = np.maximum.accumulate(np.abs(c[::-1]))[::-1]
+    if envelope[0] <= 16.0 * tol:
+        return 0
+    envelope /= envelope[0]
+    e = envelope.tolist()
+    for j in range(2, (4 * c.size - 19) // 5 + 1):  # while j2 = round(1.25 j + 5) <= n
+        j2, e1 = (5 * j + 22) // 4, e[j - 1]
+        if e1 == 0.0 or e[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    else:
+        return None
+    if e[j - 2] == 0.0:
+        return j - 1
+    floor = tol ** (7.0 / 6.0)
+    end = min(j2, np.count_nonzero(envelope >= floor) + 1)
+    envelope[end - 1] = max(envelope[end - 1], floor)
+    ramp = np.log10(envelope[:end]) - np.arange(end) * (np.log10(tol) / (3.0 * (end - 1)))
+    return max(int(np.argmin(ramp)), 1)
+
+
+def _legendre_from_chebyshev(c: np.ndarray, rows: int) -> np.ndarray:
+    """Legendre coefficients a_0 .. a_{rows-1} of sum_k c_k T_k.
+
+    Alpert & Rokhlin (SISC 12, 1991): a_j = c_j / (2 A_j) (a_0 = c_0) less
+    k (2j + 1) A_{t-1} B_{j+t-1} / ((j + k + 1) 2t) c_k over k = j + 2t, t >= 1,
+    with A_n = Lambda(n) / sqrt(pi) = (1/2)_n / n!, B_n = Lambda(n + 1/2)
+    sqrt(pi) / 2 = n! / (3/2)_n by ratio recurrences, Lambda(z) = Gamma(z +
+    1/2) / Gamma(z + 1).  Row blocks of ~2^16 entries keep memory O(c.size).
+    """
+    i, t = np.arange(1.0, c.size), np.arange(1, (c.size + 1) // 2)
+    A = np.cumprod(np.concatenate(([1.0], (i - 0.5) / i)))
+    B = np.cumprod(np.concatenate(([1.0], i / (i + 0.5), np.zeros(t.size))))
+    out = c[:rows] / (2.0 * A[:rows])
+    out[:1] = c[:1]
+    padded = np.concatenate((c, np.zeros(2 * t.size)))  # c_k = 0 for k >= n
+    step = max((1 << 16) // max(t.size, 1), 1)
+    for start in range(0, rows, step):
+        j = np.arange(start, min(start + step, rows))[:, None]
+        k = j + 2 * t
+        entries = k * (2 * j + 1) / ((k + j + 1) * (2 * t)) * A[t - 1] * B[j + t - 1]
+        out[start:start + j.size] -= (entries * padded[k]).sum(1)
+    return out
+
+
 def _projection(
     rhs: Callable, N: int, params: JacobiParams, dim: int
 ) -> np.ndarray:
-    """Moments f_k / h_k against R_k under the test weight, adaptively refined.
+    """f*_k = (rhs, R_k)_w / h_k for k < dim: the R-coefficients of rhs.
 
-    Refinement stops once successive rules agree to 1e-14 relative, with a
-    per-entry floor at the quadrature roundoff level (machine epsilon times
-    the positive-mass bound on the moment, amplified by the 1/h_k
-    normalization, plus a unit-scale term for right-hand sides that cancel
-    to pure rounding noise).  A refinement whose change fails to decay by
-    4x against the previous one has hit the rounding floor of the rule
-    family rather than a resolution limit (unresolved smooth integrands
-    decay spectrally per doubling) and is likewise accepted.
-
-    The rule doubles from max(N + 8, 40) nodes up to a budget of
-    max(2560, 4 * max(N + 8, 40)); a right-hand side still unresolved there
-    (a kink or a singularity) raises `ConvergenceError` instead of growing
-    the dense rule without bound.
+    One DCT-II (the `rfft` of the even extension) of rhs at `count`
+    Chebyshev points of the first kind, the Gauss-Chebyshev nodes; `count`
+    doubles from max(N + 8, 64) (about 45 terms chop in one round) until
+    `_chop` cuts the series, or raises `ConvergenceError` past
+    max(2560, 4 * max(N + 8, 40)) (a kink or a singularity).  The kept
+    series goes to Legendre, to P^{(a,b)} in a + b two-term steps (DLMF
+    18.9.5) and, over P_k(1) = binomial(k + a, a), to R_k; entries past it
+    are exactly 0.0.  Integral indexes only.
     """
-    hk = norm_h(params, np.arange(dim))
-    eps = np.finfo(float).eps
-
-    def evaluate(count: int) -> tuple[np.ndarray, np.ndarray]:
-        rule = gauss_jacobi_rule(params, count)
-        fvals = np.asarray(rhs(rule.nodes), dtype=float)
-        if fvals.shape != rule.nodes.shape:
-            fvals = np.broadcast_to(fvals, rule.nodes.shape).astype(float)
-        if not np.all(np.isfinite(fvals)):
+    count, keep = max(N + 8, 64), None
+    ceiling = max(2560, 4 * max(N + 8, 40))
+    while keep is None:
+        if count > ceiling:
+            raise ConvergenceError(f"rhs Chebyshev series did not chop at {count // 2} "
+                                   f"quadrature nodes (node budget {ceiling} for N = {N})")
+        nodes = np.sin(0.5 * np.pi * np.arange(count - 1, -count, -2) / count)
+        values = np.broadcast_to(np.asarray(rhs(nodes), dtype=float), nodes.shape)
+        if not np.all(np.isfinite(values)):
             raise ValueError("rhs is not finite at the quadrature nodes")
-        table = eval_R_table(params, dim - 1, rule.nodes)
-        weighted = rule.weights * fvals
-        roundoff = (
-            2048.0 * eps * (np.abs(table) @ np.abs(weighted))
-            + 256.0 * eps * (np.abs(table) @ rule.weights)
-        ) / hk
-        return table @ weighted / hk, roundoff
-
-    count = max(N + 8, 40)
-    ceiling = max(PROJECTION_MAX_NODES, 4 * count)
-    current, _ = evaluate(count)
-    previous_change = None
-    while 2 * count <= ceiling:
+        spectrum = np.fft.rfft(np.concatenate((values, values[::-1])))[:count]
+        c = (spectrum * np.exp(-0.5j * np.pi * np.arange(count) / count)).real / count
+        c[0] *= 0.5
+        keep = _chop(c)
         count *= 2
-        refined, roundoff = evaluate(count)
-        diff = np.abs(refined - current)
-        scale = np.full(dim, np.max(np.abs(refined), initial=1e-300))
-        if np.all(diff <= np.maximum(PROJECTION_TOL * scale, roundoff)):
-            return refined
-        change = float(np.max(diff))
-        if previous_change is not None and change >= 0.25 * previous_change:
-            return refined
-        current = refined
-        previous_change = change
-    raise ConvergenceError(
-        f"rhs projection did not stabilize to {PROJECTION_TOL:g} "
-        f"at {count} quadrature nodes (node budget {ceiling} for N = {N})"
-    )
+    alpha, beta = int(params.alpha), int(params.beta)
+    # entry k of the result reads Legendre coefficients k .. k + alpha + beta
+    a = _legendre_from_chebyshev(c[:keep], min(keep, dim + alpha + beta))
+    n, ia, ib = np.arange(float(a.size)), 0, 0
+    for raise_b in [True] * beta + [False] * alpha:
+        # P_n = ((n + lam) P'_n + s_n P'_{n-1}) / (2n + lam), the primed family
+        # one index higher: s_n = n + ia raising b, -(n + ib) raising a
+        lam = ia + ib + 1.0
+        den = 2.0 * n + lam
+        raised = a * ((n + lam) / den)
+        raised[:-1] += a[1:] * ((n[1:] + ia if raise_b else -(n[1:] + ib)) / den[1:])
+        a, ia, ib = raised, ia + (not raise_b), ib + raise_b
+    a = a[:dim] * np.array([math.comb(k + alpha, alpha) for k in range(min(a.size, dim))])
+    return np.concatenate((a, np.zeros(dim - a.size)))
 
 
 def rhs_projection(order: int, rhs: Callable, N: int) -> np.ndarray:

@@ -11,14 +11,15 @@ source of a kernel from the two integers and compiles it with `exec`.
 Each kernel binds every band row to a local, walks the rows with `zip`,
 writes the p x q update of a factor step as one statement per entry and
 carries the last p or q unknowns of a substitution in rotating locals, so
-no inner loop, `min`/`max` or double index is left per entry.  The last max(p, q)
-factor steps, which the matrix edge clips, run in a short generic loop;
-the substitutions give their clipped rows zero coefficients, whose terms
-subtract an exact +0.0 and so change nothing.  Every entry sees the same
-IEEE operations in the same order as the entry-by-entry loops, so factors
-and solutions are bitwise equal to theirs.  Only p and q enter the
-generated source: no matrix value is written into it as text, which would
-round it and tie the cache to the data, and nothing else can reach `exec`.
+no inner loop, `min`/`max` or double index is left per entry.  The
+factorization pads the band rows past the matrix end, so the edge clips
+none of its steps; the substitutions give their clipped rows zero
+coefficients, whose terms subtract an exact +0.0 and so change nothing.
+Every entry sees the same IEEE operations in the same order as the
+entry-by-entry loops, so factors and solutions are bitwise equal to
+theirs.  Only p and q enter the generated source: no matrix value is
+written into it as text, which would round it and tie the cache to the
+data, and nothing else can reach `exec`.
 
 `OpCount` is the trip count of the algorithm: every subtraction,
 multiplication and division the elimination and the substitutions
@@ -161,7 +162,7 @@ def _factor_source(p: int, q: int) -> list[str]:
     up the (p + 1) x (q + 1) window of the step.  The step's pivot, its
     U row and its multipliers are final and are stored; the window's other
     p x q entries, one statement each, become the next step's e's, which
-    are stored after the last step, ready for the clipped steps after it.
+    are stored after the last step.
     """
 
     def at(a: int, b: int) -> str:
@@ -316,28 +317,20 @@ class BandedLU:
         return np.array(x)
 
 
-def _factor_edge(rows: list[list[float]], n: int, p: int, q: int, start: int) -> None:
-    """Elimination steps start..n-1, whose windows the matrix edge clips."""
-    diag = rows[q]
-    for k in range(start, n):
-        pivot = diag[k]
-        if not abs(pivot) >= PIVOT_FLOOR:  # also catches NaN
-            _unusable_pivot(k, pivot)
-        for i in range(k + 1, min(n, k + p + 1)):
-            lower = rows[q + i - k]
-            mult = lower[k] / pivot
-            lower[k] = mult
-            for j in range(k + 1, min(n, k + q + 1)):
-                rows[q + i - j][j] -= mult * rows[q + k - j][j]
-
-
 def lu_factor_banded(matrix: BandedMatrix) -> BandedLU:
     """LU factorization without pivoting, confined to the band."""
     n, p, q = matrix.n, matrix.p, matrix.q
     rows = matrix.data.tolist()
-    steps = max(n - max(p, q), 0)
-    _kernel("factor", p, q)(rows, steps)
-    _factor_edge(rows, n, p, q, steps)
+    # q slots past the matrix end let the kernel run all n steps, none of
+    # them a pivot; the slots below the matrix (row q + a from n - a) are put back
+    below = [row[n - a:] for a, row in enumerate(rows[q:])]
+    for row in rows:
+        row += [0.0] * q
+    _kernel("factor", p, q)(rows, n)
+    for row in rows[:q]:
+        del row[n:]
+    for a, tail in enumerate(below):
+        rows[q + a][n - a:] = tail
     products = _update_trips(n, p, q)
     ops = OpCount(
         subtractions=products, multiplications=products, divisions=_sweep_trips(n, p)

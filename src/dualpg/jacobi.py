@@ -11,15 +11,15 @@ roots of R_count: each rule is built directly from the eigenvalues of the
 count x count symmetric Jacobi matrix of the weight (Golub & Welsch 1969),
 polished by two Newton sweeps on R_count; weights come from the derivative
 formula and are validated by the degree-(2*count-1) exactness contract.
+Rules are built afresh on each call; the verification suites, the
+quadrature oracle matrix and the tests use them, the solver does not.
 
-All functions are pure and all types immutable; the rule cache is the only
-shared state and is guarded by a lock, so everything here is safe to share
-across threads.
+All functions are pure, all types immutable and no state is shared, so
+everything here is safe to use across threads.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,21 +202,6 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _make_rule(params: JacobiParams, count: int, nodes: np.ndarray) -> QuadratureRule:
-    # weights from the Gauss-Jacobi derivative formula; the leading factor
-    # is the leading-coefficient ratio K_n / K_{n-1} of R_n over R_{n-1}
-    lam = params.lam
-    n = count
-    kratio = (2 * n + lam - 1.0) * (2 * n + lam - 2.0) / (
-        2.0 * (n + lam - 1.0) * (n + params.alpha)
-    )
-    hprev = norm_h(params, n - 1)
-    rn_prev = eval_R(params, n - 1, nodes)
-    rn_der = np.asarray(eval_R_derivative(params, n, 1, nodes))
-    weights = kratio * hprev / (rn_prev * rn_der)
-    return QuadratureRule(params=params, nodes=nodes, weights=weights, count=count)
-
-
 def _jacobi_matrix_nodes(params: JacobiParams, count: int) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub-Welsch).
 
@@ -240,7 +225,10 @@ def _jacobi_matrix_nodes(params: JacobiParams, count: int) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
 
 
-def _build_rule(params: JacobiParams, count: int) -> QuadratureRule:
+def gauss_jacobi_rule(params: JacobiParams, count: int) -> QuadratureRule:
+    """Gauss-Jacobi rule with `count` nodes for the given weight indexes."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     if count == 1:
         # the root of R_1 carrying the whole mass h_0; the derivative
         # formula's K_1 / K_0 ratio reads 0/0 at alpha + beta = -1
@@ -254,33 +242,17 @@ def _build_rule(params: JacobiParams, count: int) -> QuadratureRule:
     x = _jacobi_matrix_nodes(params, count)
     # two unguarded Newton sweeps push the eigenvalues from the 1e-14 level
     # of the dense solver down to the evaluation noise floor of R_count; the
-    # final rule accuracy feeds straight into the projection moments
+    # final rule accuracy feeds straight into the oracle integrals
     for _ in range(2):
         f = eval_R(params, count, x)
         df = np.asarray(eval_R_derivative(params, count, 1, x))
         x = np.where(df != 0.0, x - f / df, x)
-    return _make_rule(params, count, x)
-
-
-_RULES: dict[tuple[float, float, int], QuadratureRule] = {}
-_RULE_LOCK = threading.Lock()
-
-
-def gauss_jacobi_rule(params: JacobiParams, count: int) -> QuadratureRule:
-    """Gauss-Jacobi rule with `count` nodes for the given weight indexes.
-
-    Each rule is built on its own: Jacobi-matrix eigenvalues, two Newton
-    sweeps on R_count, derivative-formula weights.  Rules are cached by
-    (alpha, beta, count); the cache is the one piece of shared state here,
-    so a miss builds under a lock and every caller gets the same object.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    key = (params.alpha, params.beta, count)
-    rule = _RULES.get(key)
-    if rule is None:
-        with _RULE_LOCK:
-            rule = _RULES.get(key)
-            if rule is None:
-                rule = _RULES[key] = _build_rule(params, count)
-    return rule
+    # weights from the Gauss-Jacobi derivative formula; the leading factor
+    # is the leading-coefficient ratio K_n / K_{n-1} of R_n over R_{n-1}
+    n, lam = count, params.lam
+    kratio = (2 * n + lam - 1.0) * (2 * n + lam - 2.0) / (
+        2.0 * (n + lam - 1.0) * (n + params.alpha)
+    )
+    rn_prev, rn_der = eval_R(params, n - 1, x), np.asarray(eval_R_derivative(params, n, 1, x))
+    weights = kratio * norm_h(params, n - 1) / (rn_prev * rn_der)
+    return QuadratureRule(params=params, nodes=x, weights=weights, count=count)

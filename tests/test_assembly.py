@@ -1,6 +1,7 @@
 """System assembly against the quadrature oracle, projections, and lifting."""
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dualpg import (
 )
 from dualpg.analysis import SpectralSolution, condition_diagonal
 from dualpg.assembly import (
+    _legendre_from_chebyshev,
     FifthOrderBC,
     FifthOrderProblem,
     LiftPolynomial,
@@ -28,6 +30,7 @@ from dualpg.assembly import (
     operator_oracle_matrix,
     rhs_projection,
 )
+from dualpg.families import make_family
 from dualpg.jacobi import ConvergenceError, JacobiParams, eval_R, norm_h, pochhammer
 from dualpg.orders import order_spec
 
@@ -470,6 +473,116 @@ class TestRhsProjection:
         # a kink never settles; refinement must stop at the node budget
         with pytest.raises(ConvergenceError, match="quadrature nodes"):
             rhs_projection(order, np.abs, N)
+
+    @pytest.mark.parametrize("order,N", [(3, 24), (3, 1024), (5, 24), (5, 1024)])
+    def test_cosh_matches_high_precision(self, order, N):
+        # 40-digit mpmath quadratures of (cosh, R_k)_w / h_k, k = 0..13 and
+        # one high k where the coefficient is far below rounding
+        got = rhs_projection(order, np.cosh, N)
+        high = COSH_PROJECTION_HIGH_K[order]
+        ref = np.array([float(v) for v in COSH_PROJECTION[order]])
+        assert np.max(np.abs(got[:14] - ref[:14])) <= 4e-15
+        assert abs(got[high] - ref[14]) <= 4e-15
+
+    def test_entries_past_the_chop_are_exact_zeros(self):
+        out = rhs_projection(3, np.cosh, 1024)
+        assert np.count_nonzero(out[24:]) == 0
+        # a polynomial of degree 2 has no R_k component past k = 2
+        out = rhs_projection(5, lambda x: 3.0 * x * x - x, 40)
+        assert np.count_nonzero(out[3:]) == 0
+
+    def test_rounding_noise_projects_to_zeros(self):
+        # table 5, m = 1, coefficients 1,1,1: L sinh = 0, so the sampled
+        # right-hand side is rounding noise of both signs
+        problem = make_family(3, m=1.0).third_order_problem((1.0, 1.0, 1.0))
+        x = np.linspace(-1.0, 1.0, 101)
+        assert 0.0 < np.max(np.abs(problem.rhs(x))) < 1e-15
+        assert np.count_nonzero(rhs_projection(3, problem.rhs, 24)) == 0
+
+    def test_large_N_memory_peak(self):
+        rhs_projection(3, np.cosh, 1024)
+        tracemalloc.start()
+        try:
+            rhs_projection(3, np.cosh, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+
+def _exact_legendre_of_chebyshev(n):
+    """Column k: the Legendre coefficients of T_k, k < n, as Fractions.
+
+    Runs T_{k+1} = 2x T_k - T_{k-1} with x P_j = ((j+1) P_{j+1} + j P_{j-1})
+    / (2j+1).
+    """
+    def times_x(a):
+        out = [Fraction(0)] * (len(a) + 1)
+        for j, v in enumerate(a):
+            out[j + 1] += v * Fraction(j + 1, 2 * j + 1)
+            if j:
+                out[j - 1] += v * Fraction(j, 2 * j + 1)
+        return out
+
+    columns = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    while len(columns) < n:
+        following = [2 * v for v in times_x(columns[-1])]
+        for j, v in enumerate(columns[-2]):
+            following[j] -= v
+        columns.append(following)
+    return columns[:n]
+
+
+class TestChebyshevToLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 64])
+    def test_matches_exact_rationals(self, n):
+        # every entry within 8 eps relative; the exact zeros stay 0.0
+        eps = np.finfo(float).eps
+        for k, column in enumerate(_exact_legendre_of_chebyshev(n)):
+            got = _legendre_from_chebyshev(np.eye(n)[k], n)
+            ref = np.zeros(n)
+            ref[:k + 1] = [float(v) for v in column]
+            assert np.all(got[ref == 0.0] == 0.0)
+            nonzero = ref != 0.0
+            assert np.all(np.abs(got - ref)[nonzero] <= 8 * eps * np.abs(ref[nonzero]))
+
+    def test_leading_rows(self):
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, 64)
+        np.testing.assert_allclose(
+            _legendre_from_chebyshev(c, 20), _legendre_from_chebyshev(c, 64)[:20],
+            rtol=0.0, atol=1e-14,
+        )
+
+    def test_row_blocks_agree_with_evaluation(self):
+        # 600 coefficients take several row blocks; both series must agree
+        # at every point
+        c = np.random.default_rng(4).uniform(-1.0, 1.0, 600) / np.arange(1, 601) ** 2
+        a = _legendre_from_chebyshev(c, 600)
+        x = np.linspace(-1.0, 1.0, 201)
+        difference = np.polynomial.legendre.legval(x, a) - np.polynomial.chebyshev.chebval(x, c)
+        assert np.max(np.abs(difference)) <= 1e-14
+
+
+# (cosh, R_k^{(m,m+1)})_w / h_k for k = 0..13 and the high k, 40-digit mpmath
+COSH_PROJECTION_HIGH_K = {3: 20, 5: 19}
+COSH_PROJECTION = {
+    3: ("1.103638323514326964786571", "0.1207810862888383333976528",
+        "0.3019527157220958334941321", "0.005997742512040955511215625",
+        "0.01049604939607167214462734", "0.00008535006265927348163234748",
+        "0.0001280250939889102224485212", "0.0000005630805692824823635018957",
+        "0.0000007742357827634132498151065", "2.129191113341253909143453e-9",
+        "2.767948447343630081886488e-9", "5.204677024205892414622913e-12",
+        "6.505846280257365518278642e-12", "8.888212577740011471776123e-15",
+        "9.527771206979325643056918e-24"),
+    5: ("1.073443051942117381437158", "0.09965128148869178524617476",
+        "0.3487794852104212483616117", "0.006426280373482846903758231",
+        "0.01445913084033640553345602", "0.0001126155331680110159947675",
+        "0.0002064618108080201959904072", "0.0000008830158736324654964379988",
+        "0.000001434900794652756431711748", "3.869402681554455632984998e-9",
+        "5.804104022331683449477498e-9", "1.075634417799385118724054e-11",
+        "1.523815425215795584859076e-11", "2.058668256980935427012968e-14",
+        "2.539538781912181356256034e-23"),
+}
 
 
 # --- reference lifts and monomial tables -----------------------------------

@@ -203,20 +203,36 @@ class TestGaussJacobi:
         with pytest.raises(ValueError):
             gauss_jacobi_rule(P12, 0)
 
-    def test_concurrent_ladder_construction(self):
-        # the rule cache is the one piece of shared state; hammer it fresh
+    def test_concurrent_calls_match_serial(self):
+        # nothing in the package holds shared state: eight threads that
+        # project, solve and build rules at once get the serial results bit
+        # for bit
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        import dualpg.jacobi as jacobi
+        from dualpg import ThirdOrderProblem, rhs_projection, solve
 
-        params = JacobiParams(0.5, 1.5)
-        jacobi._RULES.pop((params.alpha, params.beta, 30), None)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            rules = list(pool.map(lambda _: gauss_jacobi_rule(params, 30), range(16)))
-        reference = rules[0]
-        assert reference.count == 30
-        for rule in rules[1:]:
-            assert rule is reference
+        problem = ThirdOrderProblem(1.0, 2.0, 3.0, rhs=np.cosh)
+
+        def rule():
+            built = gauss_jacobi_rule(JacobiParams(0.5, 1.5), 30)
+            return np.concatenate((built.nodes, built.weights))
+
+        calls = (
+            lambda: rhs_projection(5, np.cosh, 24),
+            lambda: solve(problem, 24).coefficients,
+            rule,
+        )
+        serial = [call().tobytes() for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-computation
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda i: calls[i % 3]().tobytes(), range(48),
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[i % 3] for i in range(48)]
 
     @pytest.mark.parametrize("count", [1, 2, 5, 40, 80, 200])
     def test_legendre_matches_numpy_leggauss(self, count):
