@@ -135,13 +135,12 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
 def _chop(c: np.ndarray) -> int | None:
     """Length of the Chebyshev series c to keep, None while it has no plateau.
 
-    Aurentz & Trefethen's standardChop (ACM TOMS 43, 2017) at tolerance eps,
-    1-based as there.  A series within 16 eps of 0 is rounding noise (of an
-    rhs L u = 0, say) and keeps nothing.
+    Aurentz & Trefethen's standardChop (ACM TOMS 43, 2017) at tolerance eps
+    relative to max |c|, 1-based as there.  A zero series keeps nothing.
     """
     tol = np.finfo(float).eps
     envelope = np.maximum.accumulate(np.abs(c[::-1]))[::-1]
-    if envelope[0] <= 16.0 * tol:
+    if envelope[0] == 0.0:
         return 0
     envelope /= envelope[0]
     e = envelope.tolist()
@@ -193,13 +192,23 @@ def _projection(
     Chebyshev points of the first kind, the Gauss-Chebyshev nodes; `count`
     doubles from max(N + 8, 64) (about 45 terms chop in one round) until
     `_chop` cuts the series, or raises `ConvergenceError` past
-    max(2560, 4 * max(N + 8, 40)) (a kink or a singularity).  The kept
-    series goes to Legendre, to P^{(a,b)} in a + b two-term steps (DLMF
-    18.9.5) and, over P_k(1) = binomial(k + a, a), to R_k; entries past it
-    are exactly 0.0.  Integral indexes only.
+    max(2560, 4 * max(N + 8, 40)) (a kink or a singularity).
+
+    Rounding noise above eps relative (an rhs formed by cancellation) leaves
+    no plateau at eps.  Such a series is cut after its last coefficient above
+    the largest move of the leading ones between two doublings, once that
+    move is within unit-scale rounding (256 eps), or is below 2^-20 of the
+    series and shrank less than 2.5x in the last doubling: noise shrinks
+    sqrt(2)x to 2x per doubling, a kink |x|^s 2^(1 + s)x.  A series within
+    256 eps of 0 is rounding noise (of an rhs L u = 0, say) and keeps nothing.
+
+    The kept series goes to Legendre, to P^{(a,b)} in a + b two-term steps
+    (DLMF 18.9.5) and, over P_k(1) = binomial(k + a, a), to R_k; entries
+    past it are exactly 0.0.  Integral indexes only.
     """
-    count, keep = max(N + 8, 64), None
+    count, keep, previous, moved = max(N + 8, 64), None, None, math.inf
     ceiling = max(2560, 4 * max(N + 8, 40))
+    rounding = 256.0 * np.finfo(float).eps
     while keep is None:
         if count > ceiling:
             raise ConvergenceError(f"rhs Chebyshev series did not chop at {count // 2} "
@@ -211,8 +220,14 @@ def _projection(
         spectrum = np.fft.rfft(np.concatenate((values, values[::-1])))[:count]
         c = (spectrum * np.exp(-0.5j * np.pi * np.arange(count) / count)).real / count
         c[0] *= 0.5
-        keep = _chop(c)
-        count *= 2
+        keep, scale = _chop(c), float(np.max(np.abs(c)))
+        if keep is None and scale <= rounding:
+            keep = 0
+        elif keep is None and previous is not None:
+            moved, before = float(np.max(np.abs(c[:previous.size] - previous))), moved
+            if moved <= rounding or 0.4 * before <= moved <= 2.0 ** -20 * scale:
+                keep = int(np.flatnonzero(np.abs(c) > moved)[-1]) + 1
+        previous, count = c, 2 * count
     alpha, beta = int(params.alpha), int(params.beta)
     # entry k of the result reads Legendre coefficients k .. k + alpha + beta
     a = _legendre_from_chebyshev(c[:keep], min(keep, dim + alpha + beta))

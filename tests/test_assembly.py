@@ -499,6 +499,53 @@ class TestRhsProjection:
         assert 0.0 < np.max(np.abs(problem.rhs(x))) < 1e-15
         assert np.count_nonzero(rhs_projection(3, problem.rhs, 24)) == 0
 
+    @pytest.mark.parametrize("index,delta,N", [
+        (0, 1e-9, 24), (1, 1e-9, 24), (2, 1e-12, 24), (0, 1e-9, 256),
+    ])
+    def test_cancellation_noise_projects_its_signal(self, index, delta, N):
+        # moving one of table 5's coefficients 1,1,1 leaves L sinh at the
+        # size of the move, with rounding noise of unit-scale terms on top:
+        # the series never chops at eps relative, yet it is resolved
+        family = make_family(3, m=1.0)
+        base = (1.0, 1.0, 1.0)
+        moved = tuple(c + delta * (i == index) for i, c in enumerate(base))
+        spec = order_spec(3)
+        before, after = spec.weights(base), spec.weights(moved)
+        (q,) = [q for q in after if after[q] != before[q]]
+        signal = rhs_projection(
+            3, lambda x: (after[q] - before[q]) * family.derivatives[q](x), N
+        )
+        got = rhs_projection(3, family.third_order_problem(moved).rhs, N)
+        assert np.max(np.abs(got - signal)) <= 1e-15
+
+    def test_noise_above_unit_scale_rounding_is_cut(self):
+        # 1e-3 left over from terms of size 1e6: the noise is an ulp of
+        # 1e6 cosh, far above 256 eps but 2^-20 below the series
+        got = rhs_projection(3, lambda x: (1e6 * np.cosh(x) + 1e-3) - 1e6 * np.cosh(x), 24)
+        expect = np.zeros(got.size)
+        expect[0] = 1e-3
+        assert np.max(np.abs(got - expect)) <= 1e-9
+
+    def test_small_smooth_rhs_chops_relative_to_its_size(self):
+        small = rhs_projection(3, lambda x: 1e-16 * np.cosh(x), 24)
+        full = rhs_projection(3, np.cosh, 24)
+        assert np.count_nonzero(small) == np.count_nonzero(full) == 15
+        assert np.max(np.abs(small - 1e-16 * full)) <= 1e-16 * 4e-15
+
+    @pytest.mark.parametrize("rhs", [np.sign, lambda x: np.abs(x) ** 0.01,
+                                     lambda x: np.where(x > 0.3, 1.0, 0.0)])
+    @pytest.mark.parametrize("N", [24, 1024])
+    def test_jumps_and_weak_singularities_are_not_noise(self, rhs, N):
+        # their coefficients stall like noise, but at a visible size
+        with pytest.raises(ConvergenceError, match="quadrature nodes"):
+            rhs_projection(3, rhs, N)
+
+    def test_kink_at_large_N_is_not_noise(self):
+        # past 4000 points the moves of |x| fall below 2^-20 of the series,
+        # but they shrink 4x per doubling, which rounding noise does not
+        with pytest.raises(ConvergenceError, match="quadrature nodes"):
+            rhs_projection(3, np.abs, 2048)
+
     def test_large_N_memory_peak(self):
         rhs_projection(3, np.cosh, 1024)
         tracemalloc.start()
