@@ -35,7 +35,7 @@ from .assembly import (
     operator_matrix,
 )
 from .banded import lu_factor_banded, solve_diagonal
-from .jacobi import eval_R_table
+from .jacobi import R_rows
 from .orders import order_spec
 
 __all__ = [
@@ -79,14 +79,21 @@ class SpectralSolution:
 
 
 def evaluate_solution(solution: SpectralSolution, x):
-    """u_N(x) = sum_k a_k phi_k(x) minus the boundary lift."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    a = np.asarray(solution.coefficients)
+    """u_N(x) = sum_k a_k phi_k(x) minus the boundary lift, in x's shape.
+
+    The Jacobi series is summed row by row as its recurrence runs, so
+    memory is O(x.size) whatever the dimension.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    a = solution.coefficients
     spec = order_spec(solution.order)
-    table = eval_R_table(spec.trial_params, max(len(a) - 1, 0), arr)
-    weight = np.polynomial.polynomial.polyval(arr, spec.trial_weight)
-    vals = weight * (a @ table) - solution.lift(arr)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    series = np.zeros(flat.size)
+    for ak, row in zip(a, R_rows(spec.trial_params, len(a) - 1, flat)):
+        series += ak * row
+    weight = np.polynomial.polynomial.polyval(flat, spec.trial_weight)
+    vals = (weight * series - solution.lift(flat)).reshape(arr.shape)
+    return float(vals) if arr.ndim == 0 else vals
 
 
 def max_pointwise_error(solution: SpectralSolution, exact) -> float:

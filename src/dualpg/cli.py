@@ -34,7 +34,6 @@ from .banded import SingularMatrixError
 from .families import make_family
 from .jacobi import ConvergenceError
 from .orders import SPECS, order_spec
-from .verify import run_verification
 
 __all__ = ["RunConfig", "main", "run_table", "run_solve", "run_verify"]
 
@@ -277,6 +276,10 @@ def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
 
 def run_verify(config: RunConfig) -> tuple[list[str], list[list[str]], bool]:
     """Suite rows plus overall pass flag."""
+    # imported here so that the table and solve commands load neither the
+    # suites nor numpy.random, which they draw lift samples from at import
+    from .verify import run_verification
+
     results = run_verification()
     header = ["suite", "status", "max_deviation", "tolerance", "detail"]
     rows = [

@@ -31,7 +31,7 @@ from math import comb
 
 import numpy as np
 
-from .jacobi import JacobiParams, eval_R, eval_R_derivative, eval_R_table
+from .jacobi import JacobiParams, eval_R, eval_R_derivative
 from .orders import order_spec
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "eval_psi",
     "legendre_expansion_J",
 ]
-
-_LEGENDRE = JacobiParams(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class GJPIndex:
@@ -134,11 +131,3 @@ def legendre_expansion_J(idx: GJPIndex, k: int) -> np.ndarray:
         coeffs = np.append(here, 0.0)
         coeffs[1:] += up
     return coeffs
-
-
-def eval_legendre_series(coeffs: np.ndarray, x) -> np.ndarray:
-    """Evaluate sum_i coeffs[i] L_i(x) with L_i = R_i^{(0,0)}."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    table = eval_R_table(_LEGENDRE, len(coeffs) - 1, arr)
-    vals = coeffs @ table
-    return float(vals[0]) if np.ndim(x) == 0 else vals

@@ -29,8 +29,8 @@ __all__ = [
     "JacobiParams",
     "QuadratureRule",
     "pochhammer",
+    "R_rows",
     "eval_R",
-    "eval_R_table",
     "eval_R_derivative",
     "norm_h",
     "gauss_jacobi_rule",
@@ -74,8 +74,10 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def _R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
+def R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
     """Yield R_0 .. R_nmax at the 1-d points x, keeping two rows alive."""
+    if nmax < 0:
+        raise ValueError("degree must be nonnegative")
     a, b = params.alpha, params.beta
     lam = params.lam
     prev = np.ones(x.size)
@@ -90,19 +92,15 @@ def _R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
         c1 = (s - 1.0) * s * (s + 1.0)
         c2 = (a * a - b * b) * s
         c3 = 2.0 * n * (n + b) * (s + 1.0)
-        prev, cur = cur, ((c1 * x + c2) * cur - c3 * prev) / c0
+        # ((c1 x + c2) cur - c3 prev) / c0 in that order, on one new array
+        # rather than a temporary per operation (the series sums call this per row)
+        nxt = c1 * x
+        nxt += c2
+        nxt *= cur
+        nxt -= c3 * prev
+        nxt /= c0
+        prev, cur = cur, nxt
         yield cur
-
-
-def eval_R_table(params: JacobiParams, nmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of R_0 .. R_nmax at the points x, shape (nmax+1, x.size)."""
-    if nmax < 0:
-        raise ValueError("degree must be nonnegative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((nmax + 1, x.size))
-    for n, row in enumerate(_R_rows(params, nmax, x)):
-        table[n] = row
-    return table
 
 
 def eval_R(params: JacobiParams, n: int, x):
@@ -111,10 +109,8 @@ def eval_R(params: JacobiParams, n: int, x):
     Accepts a scalar or an array of points and matches the input shape.
     Only two rows of the recurrence are kept, so memory is O(x.size).
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     arr = np.asarray(x, dtype=float)
-    for row in _R_rows(params, n, arr.ravel()):
+    for row in R_rows(params, n, arr.ravel()):
         pass
     vals = row.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals

@@ -1,4 +1,6 @@
 """Condition reports, solve drivers, solution evaluation, error measurement."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,18 @@ class TestEvaluateSolution:
         with pytest.raises(ValueError):
             SpectralSolution(4, 10, np.zeros(6), zero_lift(3))
 
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)], ids=str)
+    def test_shape_follows_input(self, shape):
+        lift = lift_third(ThirdOrderBC(0.5, -0.5, 0.25))
+        sol = SpectralSolution(3, 12, np.linspace(1.0, -1.0, 10), lift)
+        x = np.linspace(-0.9, 0.8, int(np.prod(shape))).reshape(shape)
+        vals = evaluate_solution(sol, x)
+        assert np.shape(vals) == shape
+        assert isinstance(vals, float) == (shape == ())
+        assert np.array_equal(sol(x), vals)
+        scalars = [evaluate_solution(sol, float(xi)) for xi in x.ravel()]
+        assert np.array_equal(np.ravel(vals), scalars)
+
 
 class TestMaxPointwiseError:
     def test_self_comparison_is_zero(self):
@@ -243,6 +257,20 @@ class TestMaxPointwiseError:
         family = make_family(2, m=3.0)
         sol = solve_fifth(family.fifth_order_problem((0.0,) * 5), 20)
         assert max_pointwise_error(sol, family.exact) <= 1e-9
+
+    def test_memory_independent_of_dimension(self):
+        # a 4094 x 1001 table of basis values would take 31 MiB; the
+        # streamed series keeps a few rows of 1001 points alive
+        family = make_family(3, m=1.0)
+        sol = solve_third(family.third_order_problem((1.0, 1.0, 1.0)), 4096)
+        tracemalloc.start()
+        try:
+            error = max_pointwise_error(sol, family.exact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert error <= 1e-13
+        assert peak < 2 * 2**20
 
 
 class TestSolveDrivers:

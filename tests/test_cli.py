@@ -255,6 +255,16 @@ class TestSolve:
 
 
 class TestVerifyCommand:
+    def test_cli_import_leaves_suites_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dualpg.cli; print('dualpg.verify' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert done.stdout.split() == ["False"]
+
     def test_fresh_build_passes(self, tmp_path, verification_results):
         # the suites themselves ran in the session fixture; the CLI exit
         # contract follows their combined status

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from dualpg.jacobi import (
     JacobiParams,
+    R_rows,
     eval_R,
     eval_R_derivative,
-    eval_R_table,
     gauss_jacobi_rule,
     norm_h,
     pochhammer,
@@ -71,15 +71,15 @@ class TestEvalR:
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
     def test_rolling_rows_match_table_bitwise(self, params):
         x = np.linspace(-1.0, 1.0, 41)
-        table = eval_R_table(params, 300, x)
-        for n in range(301):
-            assert np.array_equal(eval_R(params, n, x), table[n])
+        rows = list(R_rows(params, 300, x))
+        assert len(rows) == 301
+        for n, row in enumerate(rows):
+            assert np.array_equal(eval_R(params, n, x), row)
 
     def test_table_consistency(self):
         x = np.linspace(-0.9, 0.9, 5)
-        table = eval_R_table(P32, 8, x)
-        for n in range(9):
-            assert np.allclose(table[n], eval_R(P32, n, x), rtol=0, atol=1e-14)
+        for n, row in enumerate(R_rows(P32, 8, x)):
+            assert np.allclose(row, eval_R(P32, n, x), rtol=0, atol=1e-14)
 
     def test_classical_regime_enforced(self):
         with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ class TestEvalR:
         with pytest.raises(ValueError, match="degree must be nonnegative"):
             eval_R(P12, -1, x)
         with pytest.raises(ValueError, match="degree must be nonnegative"):
-            eval_R_table(P12, -1, x)
+            next(R_rows(P12, -1, x))
 
 
 class TestDerivative:
@@ -256,7 +256,7 @@ class TestOrthogonality:
     def test_orthogonality_and_norms(self):
         for params in ALL_PARAMS:
             rule = gauss_jacobi_rule(params, 16)
-            table = eval_R_table(params, 12, rule.nodes)
+            table = np.stack([eval_R(params, n, rule.nodes) for n in range(13)])
             gram = (table * rule.weights[None, :]) @ table.T
             for m in range(13):
                 for n in range(13):
