@@ -73,6 +73,9 @@ class SpectralSolution:
                 f"order {self.order}, N = {self.N} needs {expect} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+        if self.lift.order != self.order:
+            raise ValueError(f"order-{self.order} solution needs an order-{self.order} "
+                             f"lift, got an order-{self.lift.order} lift")
 
     def __call__(self, x):
         return evaluate_solution(self, x)

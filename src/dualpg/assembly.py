@@ -20,10 +20,9 @@ relations over all columns at once, whose rows are the band rows.
 
 The right-hand side f*_k = (f, R_k)_w / h_k is f's coefficient vector in
 the test family, taken by a Chebyshev transform without quadrature.
-Nonhomogeneous boundary data is removed by subtracting a low-degree lift
-polynomial; the induced right-hand-side correction is projected exactly on
-the test expansion through the monomial tables that `OrderSpec` derives
-from the test family's three-term recurrence.
+Nonhomogeneous boundary data is removed by a low-degree lift polynomial:
+v = u + lift solves L v = f + L(lift) with homogeneous data, and that sum
+goes through the same one transform.
 """
 from __future__ import annotations
 
@@ -67,6 +66,9 @@ __all__ = [
     "operator_oracle_matrix",
 ]
 
+_P = np.polynomial.polynomial
+
+
 @dataclass(frozen=True)
 class LiftPolynomial:
     """Polynomial subtracted to homogenize the boundary data.
@@ -88,9 +90,7 @@ class LiftPolynomial:
         return all(c == 0.0 for c in self.coefficients)
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(
-            np.asarray(x, dtype=float), np.asarray(self.coefficients)
-        )
+        return _P.polyval(np.asarray(x, dtype=float), np.asarray(self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _projection(
     Chebyshev points of the first kind, the Gauss-Chebyshev nodes; `count`
     doubles from max(N + 8, 64) (about 45 terms chop in one round) until
     `_chop` cuts the series, or raises `ConvergenceError` past
-    max(2560, 4 * max(N + 8, 40)) (a kink or a singularity).
+    max(2560, 4 * (N + 8)) (a kink or a singularity).
 
     Rounding noise above eps relative (an rhs formed by cancellation) leaves
     no plateau at eps.  Such a series is cut after its last coefficient above
@@ -207,7 +207,7 @@ def _projection(
     past it are exactly 0.0.  Integral indexes only.
     """
     count, keep, previous, moved = max(N + 8, 64), None, None, math.inf
-    ceiling = max(2560, 4 * max(N + 8, 40))
+    ceiling = max(2560, 4 * (N + 8))
     rounding = 256.0 * np.finfo(float).eps
     while keep is None:
         if count > ceiling:
@@ -258,8 +258,12 @@ def boundary_lift(bc) -> LiftPolynomial:
 def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.ndarray:
     """Monomial coefficients of L(lift), the rhs term induced by the lift.
 
-    Coefficient d sums w_q (d+q)!/d! c_{d+q} from the highest q down.
+    Coefficient d sums w_q (d+q)!/d! c_{d+q} from the highest q down.  A
+    lift of another order raises ValueError.
     """
+    if lift.order != order:
+        raise ValueError(f"order-{order} correction needs an order-{order} lift, "
+                         f"got an order-{lift.order} lift")
     c = lift.coefficients
     weights = order_spec(order).weights(problem.coefficients)
     return np.array([
@@ -270,34 +274,31 @@ def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.
 
 
 def modified_rhs(order: int, lift: LiftPolynomial, base: np.ndarray, problem) -> np.ndarray:
-    """Add the lift-induced polynomial correction to the projected rhs.
+    """base plus the projection of the lift-induced correction L(lift).
 
-    The correction L(lift) is a polynomial of degree < order, so it only
-    touches entries k < order; its expansion in the test family is exact
-    via the monomial tables.
+    The projection is the same Chebyshev transform as any rhs, at the N of
+    base's dimension N - 2m.  L(lift) is a polynomial of degree < order, so
+    it reads exactly 0.0 past entry order - 1.
     """
     out = np.asarray(base, dtype=float).copy()
     if lift.is_zero:
         return out
     g = lift_correction_polynomial(order, lift, problem)
-    table = order_spec(order).mono_to_test
-    for degree, gd in enumerate(g):
-        if gd == 0.0:
-            continue
-        for i, c in enumerate(table[degree]):
-            if i < out.size:
-                out[i] += gd * c
-    return out
+    return out + rhs_projection(order, lambda x: _P.polyval(x, g), out.size + order - 1)
 
 
 def assemble(problem, N: int) -> BandSystem:
-    """Band system D a = f* of a third- or fifth-order problem (dimension N-2m)."""
+    """Band system D a = f* of a third- or fifth-order problem (dimension N-2m).
+
+    Nonhomogeneous data projects f + L(lift) in the one transform.
+    """
     order = problem.order
     matrix = operator_matrix(order, problem.coefficients, N)
-    rhs = rhs_projection(order, problem.rhs, N)
+    rhs = problem.rhs
     if not problem.bc.is_homogeneous:
-        rhs = modified_rhs(order, boundary_lift(problem.bc), rhs, problem)
-    return BandSystem(matrix=matrix, rhs=rhs, order=order)
+        g = lift_correction_polynomial(order, boundary_lift(problem.bc), problem)
+        rhs = lambda x: problem.rhs(x) + _P.polyval(x, g)
+    return BandSystem(matrix=matrix, rhs=rhs_projection(order, rhs, N), order=order)
 
 
 def operator_oracle_matrix(order: int, coefficients, N: int) -> np.ndarray:

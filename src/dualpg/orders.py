@@ -4,12 +4,13 @@ Orders 3 and 5 are the m = 1, 2 cases of one construction of order 2m + 1:
 trial phi_k = (1-x^2)^m (1-x) R_k^{(m+1,m)}, test psi_k = (1-x^2)^m (1+x)
 R_k^{(m,m+1)}, dimension N - 2m, bandwidth and coefficient count 2m + 1.
 `OrderSpec` derives these from m and tabulates only what differs: the
-boundary-data and problem records and the operator signs.  The lift, the
-monomial tables and D come from m as well: the diagonal of B = +-D^order
-is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band` builds the
-weighted expansion of every derivative order for all columns at once in
-2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a stack
-whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
+boundary-data and problem records and the operator signs; a shared base
+checks that the records are finite and that a problem's boundary data is
+of its order.  The lift and D come from m as well: the diagonal of
+B = +-D^order is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band`
+builds the weighted expansion of every derivative order for all columns at
+once in 2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a
+stack whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
 `OrderSpec.expansion_table(q, k)` is the same routine with one unit weight,
 keyed by offset, at an int or an array of consecutive columns.
 `order_spec` is the one place that accepts or rejects an order.
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from itertools import chain
 from numbers import Real
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -41,18 +41,46 @@ __all__ = [
 _P = np.polynomial.polynomial
 
 
-def _require_finite(record) -> None:
-    """Reject a NaN or infinite number in any real field of a data record."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, Real) and not math.isfinite(value):
-            raise ValueError(
-                f"{type(record).__name__}.{f.name} must be finite, got {value}"
-            )
+class _Record:
+    """Base of the frozen data records: every real field must be finite."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise ValueError(
+                    f"{type(self).__name__}.{f.name} must be finite, got {value}"
+                )
+
+
+class _BoundaryData(_Record):
+    """Boundary values in `boundary_points` order."""
+
+    @property
+    def is_homogeneous(self) -> bool:
+        return all(getattr(self, name) == 0.0 for name in self.__match_args__)
+
+
+class _Problem(_Record):
+    """Operator coefficients first, then `rhs` and `bc` of the same order."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.bc.order != self.order:
+            raise ValueError(f"an order-{self.order} {type(self).__name__} needs "
+                             f"order-{self.order} boundary data, got an "
+                             f"order-{self.bc.order} {type(self.bc).__name__}")
+
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        # __match_args__: the field names in order.  attrgetter sizes the
+        # tuple exactly; tuple() of a generator over-allocates and shrinks,
+        # which piles blocks onto the free list of the smaller size
+        return attrgetter(*self.__match_args__[:-2])(self)
 
 
 @dataclass(frozen=True)
-class ThirdOrderBC:
+class ThirdOrderBC(_BoundaryData):
     """Boundary data u(-1) = a_minus, u(1) = a_plus, u'(1) = a1_plus."""
 
     order: ClassVar[int] = 3
@@ -60,16 +88,9 @@ class ThirdOrderBC:
     a_plus: float = 0.0
     a1_plus: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.a_minus == self.a_plus == self.a1_plus == 0.0
-
 
 @dataclass(frozen=True)
-class FifthOrderBC:
+class FifthOrderBC(_BoundaryData):
     """Boundary data u(+-1), u'(+-1), u''(1)."""
 
     order: ClassVar[int] = 5
@@ -79,19 +100,9 @@ class FifthOrderBC:
     a1_plus: float = 0.0
     a2_plus: float = 0.0
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return (
-            self.a_minus == self.a_plus == self.a1_minus
-            == self.a1_plus == self.a2_plus == 0.0
-        )
-
 
 @dataclass(frozen=True)
-class ThirdOrderProblem:
+class ThirdOrderProblem(_Problem):
     """u''' - alpha1 u'' - beta1 u' + gamma1 u = rhs on (-1, 1)."""
 
     order: ClassVar[int] = 3
@@ -101,16 +112,9 @@ class ThirdOrderProblem:
     rhs: Callable[[np.ndarray], np.ndarray]
     bc: ThirdOrderBC = field(default_factory=ThirdOrderBC)
 
-    def __post_init__(self) -> None:
-        _require_finite(self)
-
-    @property
-    def coefficients(self) -> tuple[float, float, float]:
-        return (self.alpha1, self.beta1, self.gamma1)
-
 
 @dataclass(frozen=True)
-class FifthOrderProblem:
+class FifthOrderProblem(_Problem):
     """-u''''' + alpha2 u'''' + beta2 u''' - gamma2 u'' - delta2 u' + mu2 u = rhs."""
 
     order: ClassVar[int] = 5
@@ -121,34 +125,6 @@ class FifthOrderProblem:
     mu2: float
     rhs: Callable[[np.ndarray], np.ndarray]
     bc: FifthOrderBC = field(default_factory=FifthOrderBC)
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float, float]:
-        return (self.alpha2, self.beta2, self.gamma2, self.delta2, self.mu2)
-
-
-def _monomial_expansions(a: int, b: int, count: int) -> tuple[tuple[float, ...], ...]:
-    """x^d = sum_i [d][i] R_i^{(a,b)} for d < count, each entry rounded once.
-
-    Runs x R_j = alpha_j R_{j+1} + beta_j R_j + gamma_j R_{j-1} in exact
-    rationals, s = 2j + a + b + 1: alpha_j = 2 (j+a+b+1) (j+a+1) / (s (s+1)),
-    beta_j = (b^2 - a^2) / ((s-1) (s+1)), gamma_j = 2j (j+b) / ((s-1) s).
-    These hold at j = 0 for a + b > 0.
-    """
-    rows = [[Fraction(1)]]
-    for _ in range(count - 1):
-        row = [Fraction(0)] * (len(rows[-1]) + 1)
-        for j, c in enumerate(rows[-1]):
-            s = 2 * j + a + b + 1
-            row[j + 1] += c * Fraction(2 * (j + a + b + 1) * (j + a + 1), s * (s + 1))
-            row[j] += c * Fraction(b * b - a * a, (s - 1) * (s + 1))
-            if j:
-                row[j - 1] += c * Fraction(2 * j * (j + b), (s - 1) * s)
-        rows.append(row)
-    return tuple(tuple(float(c) for c in row) for row in rows)
 
 
 @dataclass(eq=False)
@@ -184,8 +160,6 @@ class OrderSpec:
         H = [[math.perm(d, i) * x ** (d - i) if d >= i else 0.0 for d in range(size)]
              for i, x in self.boundary_points]
         self.lift_matrix = (-np.linalg.inv(H)).tolist()
-        # x^d = sum_i mono_to_test[d][i] R_i^{(m,m+1)}, d = 0 .. 2m
-        self.mono_to_test = _monomial_expansions(m, m + 1, size)
 
     def lift(self, bc) -> tuple[float, ...]:
         """Coefficients c = -H^-1 v of the lift sum_d c_d x^d, v the values of `bc`.

@@ -13,7 +13,7 @@ from dualpg.analysis import (
     max_pointwise_error,
     residual_norm,
 )
-from dualpg import assemble_third, lift_third, solve_fifth, solve_third
+from dualpg import assemble_third, lift_fifth, lift_third, solve_fifth, solve_third
 from dualpg.assembly import (
     FifthOrderBC,
     FifthOrderProblem,
@@ -229,6 +229,11 @@ class TestEvaluateSolution:
         with pytest.raises(ValueError):
             SpectralSolution(4, 10, np.zeros(6), zero_lift(3))
 
+    def test_lift_of_other_order_rejected(self):
+        lift = lift_fifth(FifthOrderBC(1.0, 2.0, 3.0, 4.0, 5.0))
+        with pytest.raises(ValueError, match="order-3 solution .* order-5 lift"):
+            SpectralSolution(3, 12, np.zeros(10), lift)
+
     @pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)], ids=str)
     def test_shape_follows_input(self, shape):
         lift = lift_third(ThirdOrderBC(0.5, -0.5, 0.25))
@@ -309,6 +314,15 @@ class TestSolveDrivers:
     ])
     def test_nonfinite_problem_data_names_field(self, build, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: FifthOrderProblem(1, 1, 1, 1, 1, rhs=np.cosh, bc=ThirdOrderBC(1, 2, 3)),
+        lambda: ThirdOrderProblem(1, 1, 1, rhs=np.cosh, bc=FifthOrderBC(1, 2, 3, 4, 5)),
+    ], ids=["fifth-with-third-bc", "third-with-fifth-bc"])
+    def test_boundary_data_of_other_order_rejected(self, build):
+        with pytest.raises(ValueError, match=r"order-(\d) \w+ needs order-\1 boundary data, "
+                                             r"got an order-(?!\1)\d"):
             build()
 
     def test_zero_rhs_gives_zero_solution(self):

@@ -24,6 +24,8 @@ from dualpg.assembly import (
     LiftPolynomial,
     ThirdOrderBC,
     ThirdOrderProblem,
+    assemble,
+    boundary_lift,
     lift_correction_polynomial,
     modified_rhs,
     operator_matrix,
@@ -635,9 +637,9 @@ COSH_PROJECTION = {
 # --- reference lifts and monomial tables -----------------------------------
 #
 # The closed-form lifts and literal monomial tables that `OrderSpec` used to
-# carry, kept as references for what it now derives from m: the lift as
-# -H^-1 applied to the boundary data and the tables from the test family's
-# three-term recurrence in exact rationals.
+# carry, kept as references: for the lift it derives from m as -H^-1 applied
+# to the boundary data, and for the Chebyshev transform of x^d, which
+# projects the lift's right-hand-side correction.
 
 
 def _lift_third(bc: ThirdOrderBC) -> tuple[float, float, float]:
@@ -721,9 +723,17 @@ class TestDerivedLift:
         coefficients = np.array(spec.lift(spec.bc()))
         assert not np.any(coefficients) and not np.any(np.signbit(coefficients))
 
-    @pytest.mark.parametrize("order", [3, 5])
-    def test_monomial_tables_bitwise_literal(self, order):
-        assert order_spec(order).mono_to_test == MONO_TO_TEST[order]
+    @pytest.mark.parametrize("order,N", [(3, 6), (3, 24), (3, 1024),
+                                         (5, 10), (5, 24), (5, 1024)])
+    def test_transform_of_monomials_matches_literal(self, order, N):
+        # the transform of x^d, d < order, reproduces the exact expansion to
+        # 4 eps of the row's largest entry (2.06 eps measured) and reads
+        # exactly 0.0 past degree d
+        for d, row in enumerate(MONO_TO_TEST[order]):
+            got = rhs_projection(order, lambda x: x**d, N)
+            excess = np.abs(got[:d + 1] - row) - 4.0 * EPS * max(map(abs, row))
+            assert np.all(excess <= 0.0), (d, float(np.max(excess)))
+            assert np.all(got[d + 1:] == 0.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -846,6 +856,13 @@ class TestModifiedRhs:
         )
         assert np.max(np.abs(path_a - path_b)) < 1e-11
 
+    @pytest.mark.parametrize("order,other", [(3, 5), (5, 3)])
+    def test_lift_of_other_order_rejected(self, order, other):
+        problem = order_spec(order).problem(*(1.0,) * order, rhs=np.cosh)
+        lift = boundary_lift(order_spec(other).bc(*range(1, other + 1)))
+        with pytest.raises(ValueError, match=f"order-{order} .* order-{other} lift"):
+            modified_rhs(order, lift, np.zeros(10), problem)
+
     def test_corrections_confined_to_low_entries(self):
         problem = ThirdOrderProblem(
             1.0, 1.0, 1.0, rhs=np.cosh, bc=ThirdOrderBC(0.5, 0.5, 0.5)
@@ -878,6 +895,17 @@ class TestAssemble:
     def test_minimum_truncation(self):
         with pytest.raises(ValueError):
             assemble_third(ThirdOrderProblem(0.0, 0.0, 0.0, rhs=np.cosh), 2)
+
+    @pytest.mark.parametrize("problem,N", [
+        (ThirdOrderProblem(1.5, -0.5, 2.0, rhs=np.cosh, bc=ThirdOrderBC(0.3, -0.2, 0.7)), 14),
+        (FifthOrderProblem(1.0, 0.5, -1.0, 2.0, 0.25, rhs=np.sinh,
+                           bc=FifthOrderBC(0.3, -0.2, 0.7, 0.1, -0.4)), 16),
+    ], ids=["third", "fifth"])
+    def test_nonhomogeneous_rhs_is_one_transform_of_lifted_rhs(self, problem, N):
+        order = problem.order
+        g = lift_correction_polynomial(order, boundary_lift(problem.bc), problem)
+        expect = rhs_projection(order, lambda x: problem.rhs(x) + P.polyval(x, g), N)
+        assert assemble(problem, N).rhs.tobytes() == expect.tobytes()
 
     def test_manufactured_polynomial_solution(self):
         # rhs built from a known coefficient vector must reproduce it

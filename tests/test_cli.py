@@ -226,6 +226,7 @@ class TestSolve:
     @pytest.mark.parametrize("command,example,coeffs", [
         ("solve3", 1, (2.0, 3.0, 4.0)),
         ("solve5", 2, (1.0,) * 5),
+        ("solve3", 3, (1.0, 0.0, 1.0)),
     ])
     def test_projects_rhs_once(self, monkeypatch, command, example, coeffs):
         # the residual comes from the system the solve used, not a second assembly

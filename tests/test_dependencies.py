@@ -1,5 +1,7 @@
 """The package depends on numpy and the standard library only."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,14 @@ def test_imports_only_numpy_and_stdlib(path):
     allowed = sys.stdlib_module_names | {"numpy"}
     outside = sorted(set(absolute_imports(path)) - allowed)
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    # the solver needs no exact rationals: only `verify` imports `fractions`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dualpg.cli; "
+         "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == ["[]"]
