@@ -8,17 +8,9 @@ Conditioning of the diagonal blocks B1/B2 follows directly from their
 entries.  For the full matrices D1/D2 the tabulated reference values are
 2-norm condition numbers, so cond is the singular-value ratio.  Both
 singular values and the extreme eigenvalues of D itself (the method's
-positivity claim is about them) are dominant eigenvalues of an operator
-applied through the band storage and the band LU of D: D^T D, its
-inverse (transpose solves reuse the same factors), D and D^-1.  Each comes
-from a Krylov method, Lanczos for the two symmetric operators and Arnoldi
-with full reorthogonalization for the others, stopped once the Ritz
-residual beta_m |y_m| is at most 1e-14 of the Ritz value.  The residual is
-checked every 6 steps up to m = 48 and every m // 8 steps after that, so
-the O(m^3) eigensolves of the Hessenberg matrix stay a small share of a
-large-N report while small reports stop at the same step.  At m = n steps
-the Krylov space is the whole space and the Ritz value is exact, so the
-iteration ends for every input; a complex dominant pair is no obstacle.
+positivity claim is about them) come from four short Krylov runs through
+band storage and band LUs (`condition_full`), each ending at a Ritz
+residual of 1e-14 relative, checked every 6 steps, or exactly at m = n.
 """
 from __future__ import annotations
 
@@ -34,7 +26,7 @@ from .assembly import (
     boundary_lift,
     operator_matrix,
 )
-from .banded import lu_factor_banded, solve_diagonal
+from .banded import SingularMatrixError, lu_factor_banded, solve_diagonal
 from .jacobi import R_rows
 from .orders import order_spec
 
@@ -51,11 +43,14 @@ __all__ = [
 ]
 
 ERROR_GRID_POINTS = 1001
-# Krylov extremes: Ritz residual tolerance, relative to the Ritz value, and
-# the least number of steps between convergence checks (max(6, m // 8)
-# after a check at step m)
+# Krylov extremes: Ritz residual tolerance, relative to the Ritz value, steps
+# between convergence checks, and the raise of the shift ||D^T D||_1 above
+# the spectrum (its computed sum is within a few eps of the Gershgorin bound)
 KRYLOV_TOL = 1e-14
 KRYLOV_CHECK = 6
+SHIFT_RAISE = 1e-12
+BACKWARD_TOL = 1e-10  # stable band LUs of D measured below 4e-14
+EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SpectralSolution:
@@ -105,6 +100,15 @@ def max_pointwise_error(solution: SpectralSolution, exact) -> float:
     return float(np.max(np.abs(evaluate_solution(solution, grid) - exact(grid))))
 
 
+def _check_backward_error(matrix, x: np.ndarray, b: np.ndarray) -> None:
+    """Refuse x from D's band LU if its 1-norm backward error for D x = b is above
+    BACKWARD_TOL: the LU takes no pivots, and one near 0 spoils every solve."""
+    residual = np.abs(matrix.matvec(x) - b).sum()
+    scale = np.abs(matrix.data).sum(axis=0).max() * np.abs(x).sum()
+    if not residual <= BACKWARD_TOL * scale:
+        raise SingularMatrixError(f"unstable band LU: backward error {residual / scale:.1e}")
+
+
 def solve_system(problem, N: int, system: BandSystem) -> SpectralSolution:
     """Solve the assembled system of `problem` at truncation N.
 
@@ -115,6 +119,7 @@ def solve_system(problem, N: int, system: BandSystem) -> SpectralSolution:
         a = solve_diagonal(system.order, system.rhs)
     else:
         a, _ = lu_factor_banded(system.matrix).solve(system.rhs)
+        _check_backward_error(system.matrix, a, system.rhs)
     return SpectralSolution(
         order=system.order, N=N, coefficients=a, lift=boundary_lift(problem.bc)
     )
@@ -150,11 +155,9 @@ class ConditionReport:
     sigma_max: float
 
 
-def _report(
-    order: int, N: int, eig_min, eig_max, sigma_min, sigma_max, cond
-) -> ConditionReport:
-    """ConditionReport labelled n = m and scaled by N^(2m) for the order."""
-    m = order_spec(order).m
+def _report(order: int, N: int, eig_min, eig_max, sigma_min, sigma_max) -> ConditionReport:
+    """ConditionReport, cond = sigma_max / sigma_min, labelled n = m and scaled by N^(2m)."""
+    m, cond = order_spec(order).m, sigma_max / sigma_min
     return ConditionReport(
         n_label=m, N=N, eig_min=eig_min, eig_max=eig_max, cond=cond,
         cond_over_power=cond / N ** (2 * m), sigma_min=sigma_min, sigma_max=sigma_max,
@@ -166,13 +169,7 @@ def condition_diagonal(order: int, N: int) -> ConditionReport:
     spec = order_spec(order)
     diag = spec.diagonal(np.arange(spec.dimension(N)))
     eig_min, eig_max = float(diag[0]), float(diag[-1])
-    return _report(order, N, eig_min, eig_max, eig_min, eig_max, eig_max / eig_min)
-
-
-def _start_vector(n: int) -> np.ndarray:
-    # deterministic, no accidental orthogonality to the dominant mode
-    v = 1.0 + 0.5 * np.sin(np.arange(1, n + 1, dtype=float))
-    return v / np.linalg.norm(v)
+    return _report(order, N, eig_min, eig_max, eig_min, eig_max)
 
 
 def _grown(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -182,25 +179,23 @@ def _grown(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
-    """Eigenvalue of largest modulus of a linear operator on R^n.
+def _dominant_eigenvalue(apply_op, start, symmetric=False) -> tuple[complex, np.ndarray]:
+    """Eigenvalue of largest modulus of a linear operator on R^n, and its Ritz vector.
 
     Arnoldi with full reorthogonalization (two classical Gram-Schmidt
-    passes) from a fixed start vector; for a symmetric operator the
-    Hessenberg matrix is the Lanczos tridiagonal and its Ritz values come
-    from `eigh`.  At the checks, KRYLOV_CHECK steps apart and then
-    max(KRYLOV_CHECK, m // 8) steps after a check at step m, the Ritz value
-    theta of largest modulus is accepted once its residual beta_m |y_m| is
-    at most KRYLOV_TOL |theta|.  Each check solves the whole m x m
-    Hessenberg eigenproblem, so the growing interval keeps their O(m^3)
-    cost from dominating large-n runs.  At m = n the Krylov space is all
-    of R^n, so the Ritz values are the eigenvalues and the answer is exact
-    up to rounding; no step cap is needed.  The basis grows with the step
-    count.
+    passes) from the nonzero vector `start` of length n; for a symmetric
+    operator the Hessenberg matrix is the Lanczos tridiagonal and its Ritz
+    values come from `eigh`.  Every KRYLOV_CHECK steps, and at a breakdown
+    (a new direction beta_m at most eps of the part of A v_m in the basis),
+    the Ritz value theta of largest modulus is accepted once its residual
+    beta_m |y_m| is at most KRYLOV_TOL |theta|; its unit Ritz vector is
+    complex when theta is.  At m = n the Krylov space is all of R^n, so
+    the Ritz values are the eigenvalues, exact up to rounding; no step cap
+    is needed.  The basis grows with the step count.
     """
-    basis = _start_vector(n)[None, :]  # rows: orthonormal Krylov vectors
+    n = len(start)
+    basis = (start / np.linalg.norm(start))[None, :]  # rows: orthonormal Krylov vectors
     hess = np.zeros((1, 0))
-    check = KRYLOV_CHECK
     for m in range(1, n + 1):
         if hess.shape[1] < m:  # double the capacity, never past n steps
             cap = min(n, 2 * m)
@@ -215,8 +210,7 @@ def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
         beta = float(np.linalg.norm(w))
         hess[:m, m - 1] = h + again
         hess[m, m - 1] = beta
-        if m == n or beta == 0.0 or m == check:
-            check = m + max(KRYLOV_CHECK, m // 8)
+        if m == n or m % KRYLOV_CHECK == 0 or beta <= EPS * np.linalg.norm(h + again):
             if symmetric:
                 ritz, vectors = np.linalg.eigh(hess[:m, :m])
             else:
@@ -224,7 +218,7 @@ def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
             top = int(np.argmax(np.abs(ritz)))
             theta = ritz[top]
             if m == n or beta * abs(vectors[-1, top]) <= KRYLOV_TOL * abs(theta):
-                return theta
+                return theta, vectors[:, top] @ vecs
         basis[m] = w / beta
     raise AssertionError("unreachable: the loop returns at m = n")
 
@@ -232,12 +226,14 @@ def _dominant_eigenvalue(apply_op, n: int, symmetric: bool = False) -> complex:
 def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     """Condition report for the full matrix D1 or D2 (default: all-ones).
 
-    Four Krylov runs (`_dominant_eigenvalue`) through the band storage and
-    the band LU of D, with no dense matrix: Lanczos on D^T D (matvec then
-    rmatvec) gives sigma_max^2, Lanczos on (D^T D)^-1 (transpose solve then
-    solve) gives 1 / sigma_min^2, Arnoldi on D gives eig_max and Arnoldi
-    on D^-1 gives 1 / eig_min.  Each stops once its Ritz residual is at
-    most 1e-14 of the Ritz value, or at m = n steps, where it is exact.
+    Four Krylov runs (`_dominant_eigenvalue`), with no dense matrix.  G =
+    D^T D is formed in band storage, and s = ||G||_1 (1 + SHIFT_RAISE)
+    lies strictly above its spectrum, so the LU of G - sI needs no pivots
+    and Lanczos on (G - sI)^-1 gives 1 / (sigma_max^2 - s) and the top
+    right singular vector v1.  Lanczos on (D^T D)^-1 gives
+    1 / sigma_min^2, Arnoldi on D from v1 gives eig_max and Arnoldi on D^-1
+    gives 1 / eig_min.  One probe solve with D's factors goes through
+    `_check_backward_error` first.
     """
     if coefficients is None:
         coefficients = (1.0,) * order_spec(order).n_coefficients
@@ -245,23 +241,24 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     n = matrix.n
     if n == 1:
         only = matrix.get(0, 0)
-        return _report(order, N, only, only, abs(only), abs(only), 1.0)
+        return _report(order, N, only, only, abs(only), abs(only))
     factored = lu_factor_banded(matrix)
-
-    def gram(v):
-        return matrix.rmatvec(matrix.matvec(v))
-
-    def gram_inverse(v):
-        return factored.solve(factored.solve_transpose(v))[0]
-
-    sigma_max = math.sqrt(_dominant_eigenvalue(gram, n, symmetric=True))
-    sigma_min = 1.0 / math.sqrt(_dominant_eigenvalue(gram_inverse, n, symmetric=True))
-    eig_max = _dominant_eigenvalue(matrix.matvec, n).real
-    eig_min = (1.0 / _dominant_eigenvalue(lambda v: factored.solve(v)[0], n)).real
-    return _report(
-        order, N, float(eig_min), float(eig_max), sigma_min, sigma_max,
-        sigma_max / sigma_min,
-    )
+    start = 1.0 + 0.5 * np.sin(np.arange(1, n + 1))  # fixed, not orthogonal to the top mode
+    _check_backward_error(matrix, factored.solve(start)[0], start)
+    gram = matrix.gram()
+    shift = float(np.abs(gram.data).sum(axis=0).max()) * (1.0 + SHIFT_RAISE)
+    gram.data[gram.q] -= shift
+    shifted = lu_factor_banded(gram)
+    mu, v1 = _dominant_eigenvalue(lambda v: shifted.solve(v)[0], start, symmetric=True)
+    inverse_gram, _ = _dominant_eigenvalue(
+        lambda v: factored.solve(factored.solve_transpose(v))[0], start, symmetric=True)
+    # entries below eps of the largest are rounding residue of the Ritz sums; left
+    # in, they cost Arnoldi on D 60 steps instead of 18 (order 3, (2, 3, 4), N = 1024)
+    v1[np.abs(v1) < EPS * np.abs(v1).max()] = 0.0
+    eig_max, _ = _dominant_eigenvalue(matrix.matvec, v1)
+    inverse_eig, _ = _dominant_eigenvalue(lambda v: factored.solve(v)[0], start)
+    return _report(order, N, float((1.0 / inverse_eig).real), float(eig_max.real),
+                   1.0 / math.sqrt(inverse_gram), math.sqrt(shift + 1.0 / mu))
 
 
 def residual_norm(system: BandSystem, coefficients: np.ndarray) -> float:

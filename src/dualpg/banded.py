@@ -110,17 +110,21 @@ class BandedMatrix:
                 y[-d:] += row[: self.n + d] * x[: self.n + d]
         return y
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A^T x."""
-        x = np.asarray(x, dtype=float)
-        y = np.zeros(self.n)
-        for d in range(-self.p, self.q + 1):
-            row = self.data[self.q - d]
-            if d >= 0:
-                y[d:] += row[d:] * x[: self.n - d]
-            else:
-                y[: self.n + d] += row[: self.n + d] * x[-d:]
-        return y
+    def gram(self) -> BandedMatrix:
+        """G = A^T A, with both bandwidths p + q (at most n - 1): row k of A adds
+        A[k, k + a] A[k, k + b] to G[k + a, k + b] for diagonals a <= b of A,
+        and the diagonals of G below its main one mirror those above."""
+        n, p, q = self.n, self.p, self.q
+        w = min(p + q, n - 1)
+        gram = BandedMatrix(n, w, w)
+        for a in range(-p, q + 1):
+            for b in range(a, min(q, a + w) + 1):
+                lo, hi = max(0, -a), n - max(0, b)  # rows k holding both entries
+                gram.data[w - b + a, lo + b:hi + b] += (
+                    self.data[q - a, lo + a:hi + a] * self.data[q - b, lo + b:hi + b])
+        for d in range(1, w + 1):
+            gram.data[w + d, : n - d] = gram.data[w - d, d:]
+        return gram
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))

@@ -252,10 +252,7 @@ def run_solve(config: RunConfig) -> tuple[list[str], list[list[str]]]:
     system = assemble(problem, N)
     solution = solve_system(problem, N, system)
     residual = residual_norm(system, solution.coefficients)
-    if all(c == 0.0 for c in coeffs):
-        report = condition_diagonal(order, N)
-    else:
-        report = condition_full(order, N, coeffs)
+    report = condition_full(order, N, coeffs)
 
     header = ["record", "key", "value"]
     rows: list[list[str]] = []

@@ -4,6 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualpg import analysis
 from dualpg.analysis import (
     SpectralSolution,
     _dominant_eigenvalue,
@@ -22,7 +26,7 @@ from dualpg.assembly import (
     operator_matrix,
     ThirdOrderBC,
 )
-from dualpg.banded import BandedLU, BandedMatrix
+from dualpg.banded import SingularMatrixError
 from dualpg.families import make_family
 from dualpg.gjp import eval_phi
 
@@ -31,35 +35,22 @@ def zero_lift(order):
     return LiftPolynomial(order=order, coefficients=(0.0,) * (3 if order == 3 else 5))
 
 
-# each Krylov step applies its operator once; these are the band kernels
-# the four extremes run on (D^T D: matvec + rmatvec, (D^T D)^-1:
-# solve_transpose + solve, D: matvec, D^-1: solve)
-APPLICATIONS = ((BandedMatrix, "matvec"), (BandedMatrix, "rmatvec"),
-                (BandedLU, "solve"), (BandedLU, "solve_transpose"))
+def count_krylov_runs(monkeypatch):
+    """Operator applications of each `_dominant_eigenvalue` run, in run order."""
+    runs = []
+    original = analysis._dominant_eigenvalue
 
+    def counted(apply_op, start, symmetric=False):
+        runs.append(0)
 
-def count_calls(monkeypatch, targets):
-    """Count calls to each (owner, name) in the returned dict, by name."""
-    calls = {}
+        def op(v):
+            runs[-1] += 1
+            return apply_op(v)
 
-    def counted(name, function):
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return function(*args)
-        return wrapper
+        return original(op, start, symmetric)
 
-    for owner, name in targets:
-        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    return calls
-
-
-def applications_per_extreme(calls):
-    return {
-        "sigma_max": calls["rmatvec"],
-        "sigma_min": calls["solve_transpose"],
-        "eig_max": calls["matvec"] - calls["rmatvec"],
-        "eig_min": calls["solve"] - calls["solve_transpose"],
-    }
+    monkeypatch.setattr(analysis, "_dominant_eigenvalue", counted)
+    return runs
 
 
 class TestConditionDiagonal:
@@ -159,39 +150,85 @@ class TestConditionFull:
         assert rep.eig_max == pytest.approx(eigs[-1].real, rel=1e-8)
         assert rep.eig_min == pytest.approx(eigs[0].real, rel=1e-8)
 
-    def test_operator_applications_bounded_at_large_n(self, monkeypatch):
-        calls = count_calls(monkeypatch, APPLICATIONS)
-        rep = condition_full(3, 1024, (2.0, 3.0, 4.0))
-        per_extreme = applications_per_extreme(calls)
-        assert all(0 < count <= 256 for count in per_extreme.values()), per_extreme
-        assert rep.cond == pytest.approx(181395, rel=1e-5)
+    @pytest.mark.parametrize("order,coeffs", [(3, (2.0, 3.0, 4.0)), (5, (1.0,) * 5)],
+                             ids=["3-234", "5-ones"])
+    def test_krylov_runs_short_at_large_n(self, monkeypatch, order, coeffs):
+        # sigma_max, sigma_min, eig_max, eig_min: each run applies its
+        # operator a bounded number of times however large N grows
+        runs = count_krylov_runs(monkeypatch)
+        for N in (64, 1024, 4096):
+            runs.clear()
+            rep = condition_full(order, N, coeffs)
+            assert len(runs) == 4 and all(0 < count <= 48 for count in runs), (N, runs)
+            if (order, N) == (3, 1024):
+                assert rep.cond == pytest.approx(181395, rel=1e-5)
 
-    def test_check_interval_grows_with_steps(self, monkeypatch):
-        # Ritz values are checked every KRYLOV_CHECK steps up to m = 48, so
-        # the N = 40 step counts are those of a fixed 6-step interval; past
-        # that the interval grows as m // 8, and N = 1024 solves fewer
-        # Hessenberg eigenproblems than the 33 eig / 24 eigh of a fixed one
-        calls = count_calls(monkeypatch, APPLICATIONS + ((np.linalg, "eig"),
-                                                         (np.linalg, "eigh")))
-        condition_full(3, 40, (2.0, 3.0, 4.0))
-        assert applications_per_extreme(calls) == {
-            "sigma_max": 24, "sigma_min": 12, "eig_max": 36, "eig_min": 18}
-        calls.clear()
-        rep = condition_full(3, 1024, (2.0, 3.0, 4.0))
-        assert calls["eig"] < 33 and calls["eigh"] < 24, calls
-        assert rep.cond == pytest.approx(181395, rel=1e-5)
+    @pytest.mark.parametrize("coefficient", [0.0, -1.2e-163])
+    @pytest.mark.parametrize("N", [16, 24, 40])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_zero_coefficients_match_diagonal(self, order, N, coefficient):
+        # D is the diagonal B1 or B2, so G = D^T D is diagonal too and
+        # ||G||_1 is exactly its top eigenvalue: only the raise of the
+        # shift keeps G - sI nonsingular.  With tiny coefficients eig_max's
+        # first Arnoldi step leaves a residual whose square underflows
+        full = condition_full(order, N, (coefficient,) * order)
+        diagonal = condition_diagonal(order, N)
+        for name in ("eig_min", "eig_max", "sigma_min", "sigma_max", "cond"):
+            assert getattr(full, name) == pytest.approx(getattr(diagonal, name), rel=1e-13)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_extremes_match_dense_over_signed_coefficients(self, data):
+        order = data.draw(st.sampled_from([3, 5]), label="order")
+        N = data.draw(st.integers(order + 1, 96), label="N")
+        coeffs = tuple(data.draw(st.lists(st.floats(-1000.0, 1000.0), min_size=order,
+                                          max_size=order), label="coeffs"))
+        dense = operator_matrix(order, coeffs, N).to_dense()
+        try:
+            rep = condition_full(order, N, coeffs)
+        except SingularMatrixError:
+            # allowed only where the no-pivot LU of D meets a pivot near
+            # zero: pivot k is det(D[:k, :k]) / det(D[:k-1, :k-1])
+            logdets = [np.linalg.slogdet(dense[:k, :k])[1] for k in range(1, len(dense) + 1)]
+            with np.errstate(all="ignore"):  # an exactly singular minor has log 0 = -inf
+                pivots = np.exp(np.diff(logdets, prepend=0.0))
+            assert np.nanmin(pivots) <= 1e-8 * np.abs(dense).max()
+            return
+        sigmas = np.linalg.svd(dense, compute_uv=False)
+        eigs = np.linalg.eigvals(dense)
+        eigs = eigs[np.argsort(np.abs(eigs))]
+        assert rep.sigma_max == pytest.approx(sigmas[0], rel=1e-8)
+        assert abs(rep.eig_max - eigs[-1].real) <= 1e-8 * abs(eigs[-1])
+        cond = sigmas[0] / sigmas[-1]
+        if cond <= 1e8:  # past that neither route resolves sigma_min
+            assert rep.sigma_min == pytest.approx(sigmas[-1], rel=1e-8)
+            assert rep.cond == pytest.approx(cond, rel=1e-8)
+        if max(map(abs, coeffs)) <= 4.0:  # a near-defective bottom pair occurs beyond
+            assert abs(rep.eig_min - eigs[0].real) <= 1e-8 * abs(eigs[0])
+
+    def test_unstable_factorization_raises(self):
+        # the leading 3 x 3 minor of this D vanishes: the no-pivot LU meets
+        # a pivot of 3.9e-14 and solves with a backward error near 1e-2
+        with pytest.raises(SingularMatrixError, match="backward error"):
+            condition_full(3, 6, (0.0, -9.0, 0.0))
 
     def test_krylov_routine_on_small_operators(self):
         # zero operator: breakdown at step 1 (beta = 0) is exact
-        assert _dominant_eigenvalue(lambda v: 0.0 * v, 10) == 0.0
+        theta, vector = _dominant_eigenvalue(lambda v: 0.0 * v, np.ones(10))
+        assert theta == 0.0
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
         # rotation: a complex pair; m = n ends the iteration exactly
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
-        theta = _dominant_eigenvalue(lambda v: rotation @ v, 2)
+        theta, _ = _dominant_eigenvalue(lambda v: rotation @ v, np.ones(2))
         assert abs(theta.imag) == pytest.approx(1.0, rel=1e-14)
         assert abs(theta.real) < 1e-14
-        # the dominant eigenvalue keeps its sign
+        # the dominant eigenvalue keeps its sign; the Ritz vector is its eigenvector
         diag = np.array([1.0, -5.0, 2.0])
-        assert _dominant_eigenvalue(lambda v: diag * v, 3) == pytest.approx(-5.0)
+        for symmetric in (False, True):
+            theta, vector = _dominant_eigenvalue(lambda v: diag * v, np.ones(3),
+                                                 symmetric)
+            assert theta == pytest.approx(-5.0)
+            assert np.abs(vector) == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_nonfinite_coefficient_named(self):
         with pytest.raises(ValueError, match="coefficient 0 must be finite"):
@@ -324,6 +361,13 @@ class TestSolveDrivers:
         with pytest.raises(ValueError, match=r"order-(\d) \w+ needs order-\1 boundary data, "
                                              r"got an order-(?!\1)\d"):
             build()
+
+    def test_unstable_factorization_raises(self):
+        # the leading 3 x 3 minor of D vanishes: the no-pivot LU meets a
+        # pivot of 3.9e-14 and the solve's residual is of the order of f*
+        problem = ThirdOrderProblem(0.0, -9.0, 0.0, rhs=lambda x: x)
+        with pytest.raises(SingularMatrixError, match="backward error"):
+            solve_third(problem, 24)
 
     def test_zero_rhs_gives_zero_solution(self):
         problem = ThirdOrderProblem(0.0, 0.0, 0.0, rhs=lambda x: np.zeros_like(x))

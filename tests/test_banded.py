@@ -102,7 +102,21 @@ class TestBandedMatrix:
         x = rng.uniform(-1, 1, 9)
         dense = m.to_dense()
         assert np.allclose(m.matvec(x), dense @ x, atol=1e-14)
-        assert np.allclose(m.rmatvec(x), dense.T @ x, atol=1e-14)
+
+    @pytest.mark.parametrize("n,p,q", [(9, 2, 3), (12, 3, 3), (7, 0, 2), (7, 2, 0),
+                                       (5, 3, 3), (4, 2, 1), (2, 1, 1), (1, 0, 0)])
+    def test_gram_matches_dense(self, n, p, q):
+        # the band of A^T A is p + q wide on each side, clipped to n - 1
+        m = random_band(n, p, q, np.random.default_rng(n + 10 * p + 100 * q))
+        dense = m.to_dense()
+        gram = m.gram()
+        assert gram.p == gram.q == min(p + q, n - 1)
+        assert np.allclose(gram.to_dense(), dense.T @ dense, rtol=0.0, atol=1e-14)
+        # the slots outside the matrix stay zero
+        outside = np.ones_like(gram.data, dtype=bool)
+        for d in range(-gram.p, gram.q + 1):
+            outside[gram.q - d, max(0, d):min(n, n + d)] = False
+        assert not gram.data[outside].any()
 
     def test_bandwidth_bounds(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,23 @@ class TestSolve:
         cells = {r[1]: r[2] for r in read_csv(out)[1:] if r[0] == "condition"}
         assert cells["cond"] == "181395"
 
+    @pytest.mark.parametrize("command,N", [("solve3", 16), ("solve3", 40),
+                                           ("solve5", 16), ("solve5", 40)])
+    def test_zero_coefficient_condition_rows(self, tmp_path, command, N):
+        # condition_full on the diagonal B1 / B2 prints what its closed form does
+        from dualpg.analysis import condition_diagonal
+        from dualpg.cli import _fmt_err, _fmt_ratio
+
+        out = tmp_path / "sol.csv"
+        assert main([command, "--n", str(N), "--rhs-poly", "1", "--out", str(out)]) == 0
+        cells = {r[1]: r[2] for r in read_csv(out)[1:] if r[0] == "condition"}
+        rep = condition_diagonal(int(command[-1]), N)
+        assert cells == {
+            "cond": _fmt_err(rep.cond), "eig_min": _fmt_err(rep.eig_min),
+            "eig_max": _fmt_err(rep.eig_max),
+            "cond_over_N2n": _fmt_ratio(rep.cond_over_power),
+        }
+
     def test_solve3_polynomial_rhs(self, tmp_path):
         out = tmp_path / "sol.csv"
         code = main([
@@ -253,6 +270,12 @@ class TestSolve:
                      "--rhs-poly", "1"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_unstable_factorization_exit_code(self, capsys):
+        # D's leading 3 x 3 minor vanishes: the solve refuses the factorization
+        assert main(["solve3", "--n", "6", "--coeffs", "0,-9,0", "--rhs-poly", "1"]) == 2
+        assert "backward error" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
