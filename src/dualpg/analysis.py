@@ -104,9 +104,11 @@ def _check_backward_error(matrix, x: np.ndarray, b: np.ndarray) -> None:
     """Refuse x from D's band LU if its 1-norm backward error for D x = b is above
     BACKWARD_TOL: the LU takes no pivots, and one near 0 spoils every solve."""
     residual = np.abs(matrix.matvec(x) - b).sum()
-    scale = np.abs(matrix.data).sum(axis=0).max() * np.abs(x).sum()
-    if not residual <= BACKWARD_TOL * scale:
-        raise SingularMatrixError(f"unstable band LU: backward error {residual / scale:.1e}")
+    # tolerance first: ||D||_1 ||x||_1 alone can overflow where the bound does not
+    bound = BACKWARD_TOL * np.abs(x).sum() * np.abs(matrix.data).sum(axis=0).max()
+    if not residual <= bound:
+        raise SingularMatrixError(
+            f"unstable band LU: backward error {BACKWARD_TOL * residual / bound:.1e}")
 
 
 def solve_system(problem, N: int, system: BandSystem) -> SpectralSolution:
@@ -233,7 +235,10 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     right singular vector v1.  Lanczos on (D^T D)^-1 gives
     1 / sigma_min^2, Arnoldi on D from v1 gives eig_max and Arnoldi on D^-1
     gives 1 / eig_min.  One probe solve with D's factors goes through
-    `_check_backward_error` first.
+    `_check_backward_error` first.  The runs see D / 2^e, 2^e the power of
+    two just above max |D|, so that neither the norms of Krylov vectors of
+    size 1 / |D|^2 nor G underflow or overflow; the extremes are scaled
+    back exactly.
     """
     if coefficients is None:
         coefficients = (1.0,) * order_spec(order).n_coefficients
@@ -242,6 +247,8 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     if n == 1:
         only = matrix.get(0, 0)
         return _report(order, N, only, only, abs(only), abs(only))
+    e = math.frexp(float(np.abs(matrix.data).max()))[1]
+    np.ldexp(matrix.data, -e, out=matrix.data)
     factored = lu_factor_banded(matrix)
     start = 1.0 + 0.5 * np.sin(np.arange(1, n + 1))  # fixed, not orthogonal to the top mode
     _check_backward_error(matrix, factored.solve(start)[0], start)
@@ -257,8 +264,9 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     v1[np.abs(v1) < EPS * np.abs(v1).max()] = 0.0
     eig_max, _ = _dominant_eigenvalue(matrix.matvec, v1)
     inverse_eig, _ = _dominant_eigenvalue(lambda v: factored.solve(v)[0], start)
-    return _report(order, N, float((1.0 / inverse_eig).real), float(eig_max.real),
-                   1.0 / math.sqrt(inverse_gram), math.sqrt(shift + 1.0 / mu))
+    extremes = (float((1.0 / inverse_eig).real), float(eig_max.real),
+                1.0 / math.sqrt(inverse_gram), math.sqrt(shift + 1.0 / mu))
+    return _report(order, N, *(math.ldexp(value, e) for value in extremes))
 
 
 def residual_norm(system: BandSystem, coefficients: np.ndarray) -> float:

@@ -27,9 +27,9 @@ goes through the same one transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Callable
 
 import numpy as np
@@ -123,7 +123,7 @@ def operator_matrix(order: int, coefficients, N: int) -> BandedMatrix:
         if not math.isfinite(c):
             raise ValueError(f"operator coefficient {i} must be finite, got {c}")
     band = min(spec.bandwidth, dim - 1)
-    stack = spec.expansion_band(weights, 0, dim)
+    stack = spec.expansion_band(weights, dim)
     matrix = BandedMatrix(dim, band, band, stack[order - band:order + band + 1])
     # an offset-d coefficient of column k lands in row k + d, past the
     # matrix end for k >= dim - d: clear those slots
@@ -215,11 +215,16 @@ def _projection(
                                    f"quadrature nodes (node budget {ceiling} for N = {N})")
         nodes = np.sin(0.5 * np.pi * np.arange(count - 1, -count, -2) / count)
         values = np.broadcast_to(np.asarray(rhs(nodes), dtype=float), nodes.shape)
-        if not np.all(np.isfinite(values)):
+        top = float(np.max(np.abs(values)))  # NaN if any value is
+        if not math.isfinite(top):
             raise ValueError("rhs is not finite at the quadrature nodes")
-        spectrum = np.fft.rfft(np.concatenate((values, values[::-1])))[:count]
+        # the transform sees values / 2^e, max |values| < 2^e, so its sums cannot overflow
+        e = math.frexp(top)[1]
+        even = np.concatenate((values, values[::-1]))
+        spectrum = np.fft.rfft(np.ldexp(even, -e, out=even))[:count]
         c = (spectrum * np.exp(-0.5j * np.pi * np.arange(count) / count)).real / count
         c[0] *= 0.5
+        np.ldexp(c, e, out=c)
         keep, scale = _chop(c), float(np.max(np.abs(c)))
         if keep is None and scale <= rounding:
             keep = 0
@@ -251,8 +256,14 @@ def rhs_projection(order: int, rhs: Callable, N: int) -> np.ndarray:
 
 
 def boundary_lift(bc) -> LiftPolynomial:
-    """Lift of degree 2m turning the boundary data `bc` homogeneous."""
-    return LiftPolynomial(order=bc.order, coefficients=order_spec(bc.order).lift(bc))
+    """Lift of degree 2m turning the boundary data `bc` homogeneous.
+
+    Its coefficients are c = -H^-1 v (`OrderSpec.lift_matrix`), v the values
+    of `bc`; each sum runs left to right from +0.0, so zero data gives +0.0.
+    """
+    values = [getattr(bc, f.name) for f in fields(bc)]
+    rows = order_spec(bc.order).lift_matrix
+    return LiftPolynomial(bc.order, tuple(sum(map(mul, row, values)) for row in rows))
 
 
 def lift_correction_polynomial(order: int, lift: LiftPolynomial, problem) -> np.ndarray:

@@ -8,12 +8,12 @@ boundary-data and problem records and the operator signs; a shared base
 checks that the records are finite and that a problem's boundary data is
 of its order.  The lift and D come from m as well: the diagonal of
 B = +-D^order is (m+1) (k+1)_m (k+m+2)_m, and `OrderSpec.expansion_band`
-builds the weighted expansion of every derivative order for all columns at
-once in 2 (2m + 1) two-term Jacobi relations, Horner's rule over q, in a
-stack whose rows are the band rows; a row k + d < 0 reads exactly 0.0.
-`OrderSpec.expansion_table(q, k)` is the same routine with one unit weight,
-keyed by offset, at an int or an array of consecutive columns.
-`order_spec` is the one place that accepts or rejects an order.
+builds the weighted expansion of every derivative order for the columns
+0 .. count - 1 at once in 2 (2m + 1) two-term Jacobi relations, Horner's
+rule over q, in a stack whose rows are the band rows; a row k + d < 0 reads
+exactly 0.0.  `lift_matrix`, -H^-1, maps boundary values to the lift's
+coefficients; `assembly.boundary_lift` applies it.  `order_spec` is the
+one place that accepts or rejects an order.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from numbers import Real
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -161,14 +161,6 @@ class OrderSpec:
              for i, x in self.boundary_points]
         self.lift_matrix = (-np.linalg.inv(H)).tolist()
 
-    def lift(self, bc) -> tuple[float, ...]:
-        """Coefficients c = -H^-1 v of the lift sum_d c_d x^d, v the values of `bc`.
-
-        Each sum runs left to right from +0.0: zero data gives +0.0 coefficients.
-        """
-        values = [getattr(bc, f.name) for f in fields(bc)]
-        return tuple(sum(map(mul, row, values)) for row in self.lift_matrix)
-
     def dimension(self, N: int) -> int:
         """Number of basis functions at truncation N; ValueError for N < order."""
         if N < self.order:
@@ -186,8 +178,8 @@ class OrderSpec:
             value = value * (k + i)
         return value
 
-    def expansion_band(self, weights, start: int, count: int) -> np.ndarray:
-        """Band rows of sum_q w_q D^q phi_k over the columns k = start .. start + count - 1.
+    def expansion_band(self, weights, count: int) -> np.ndarray:
+        """Band rows of sum_q w_q D^q phi_k over the columns k = 0 .. count - 1.
 
         weights maps derivative orders q = 0 .. order to their factors (a
         missing q weighs nothing).  Row order + d of the (2 order + 1) x count
@@ -207,20 +199,17 @@ class OrderSpec:
         relations, ending in the test index (m, m+1) with lead_m = sign B_kk.
         A relation acts on every row and column at once through views of two
         coefficient vectors over the degrees, which read 0.0 at negative
-        degrees; a column depends on its k alone, whatever the window.
+        degrees; a column depends on its k alone.
         """
         m, order = self.m, self.order
         rows, size = 2 * order + 1, count + 2 * order
-        first = max(order - start, 0)  # table slots of negative degree
-        n = size - first
-        base = start - order + first  # degree of table slot `first`
-        # shift[p] is j + p/2 over the degrees j >= 0 of the tables
-        half = np.arange(base, base + n + 2 * order, 0.5)
-        shift = np.ndarray((4 * order + 1, n), float, half, 0, (8, 16))
+        # shift[p] is j + p/2 over the degrees j = 0 .. count + order - 1
+        half = np.arange(0, count + 3 * order, 0.5)
+        shift = np.ndarray((4 * order + 1, count + order), float, half, 0, (8, 16))
 
         stack, part = np.zeros((rows, count)), np.empty((rows, count))
         x, y = np.zeros(size), np.zeros(size)
-        xs, ys = x[first:], y[first:]
+        xs, ys = x[order:], y[order:]  # slots below `order` are negative degrees
         # x and y at the degree of row i, column c: slot c + i
         X, Y = (np.ndarray((rows, count), float, v, 0, (8, 8)) for v in (x, y))
         lo, hi = order, order - 1  # the rows that hold nonzeros: none yet
@@ -283,38 +272,12 @@ class OrderSpec:
             promote(r - 1, r, in_a=True)
             promote(r, r, in_a=False)
             # times n (n + 2r) / (2r), n = k + m - r + 1: exact integers
-            lead = lead * shift[2 * (start - base + m - r + 1)][:count]
-            lead *= shift[2 * (start - base + m + r + 1)][:count]
+            lead = lead * shift[2 * (m - r + 1)][:count]
+            lead *= shift[2 * (m + r + 1)][:count]
             lead /= 2 * r
             if weights.get(m + 1 + r, 0.0):
                 add(order + m - r, np.multiply(lead, weights[m + 1 + r], out=part[0]))
         return stack
-
-    def expansion_table(self, q: int, k) -> dict:
-        """{d: coefficient of R_{k+d} in D^q phi_k}, d = order - q .. q - order.
-
-        At an int k >= 0 (float values) or a nonempty 1-d array of
-        consecutive int columns k >= 0 (an array per offset): the rows of
-        `expansion_band` with the one weight w_q = 1.
-        """
-        if not 0 <= q <= self.order:
-            raise ValueError(
-                f"order-{self.order} expansion defined for q in 0..{self.order}, got {q}"
-            )
-        cols = np.atleast_1d(k)
-        if cols.ndim != 1 or cols.size == 0:
-            raise ValueError("expansion_table needs an int or a nonempty 1-d array of columns")
-        first = int(cols[0])
-        if not np.array_equal(cols, np.arange(first, first + cols.size)):
-            raise ValueError("expansion_table needs an int or consecutive int columns")
-        if first < 0:
-            raise ValueError(f"expansion_table needs columns k >= 0, got {first}")
-        stack = self.expansion_band({q: 1.0}, first, cols.size)
-        reach = self.order - q
-        offsets = range(reach, -reach - 1, -1)
-        if np.ndim(k) == 0:
-            return {d: float(stack[self.order + d][0]) for d in offsets}
-        return {d: stack[self.order + d] for d in offsets}
 
     def weights(self, coefficients) -> dict[int, float]:
         """Signed weight of D^q in the operator, q = order .. 0 (leading one)."""

@@ -1,5 +1,6 @@
 """Condition reports, solve drivers, solution evaluation, error measurement."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualpg.analysis import (
     evaluate_solution,
     max_pointwise_error,
     residual_norm,
+    solve,
 )
 from dualpg import assemble_third, lift_fifth, lift_third, solve_fifth, solve_third
 from dualpg.assembly import (
@@ -23,6 +25,7 @@ from dualpg.assembly import (
     FifthOrderProblem,
     LiftPolynomial,
     ThirdOrderProblem,
+    assemble,
     operator_matrix,
     ThirdOrderBC,
 )
@@ -206,6 +209,20 @@ class TestConditionFull:
         if max(map(abs, coeffs)) <= 4.0:  # a near-defective bottom pair occurs beyond
             assert abs(rep.eig_min - eigs[0].real) <= 1e-8 * abs(eigs[0])
 
+    @pytest.mark.parametrize("N", [24, 40])
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_cond_matches_dense_at_any_magnitude(self, order, N):
+        # D / 2^e runs the Krylov iterations at unit scale: unscaled, squared
+        # norms of 1 / |D|^2 vectors underflowed (a false breakdown, cond 64-76%
+        # off from c = 1e80) and D^T D overflowed (NaN pivots from c ~ 1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in range(-6, 301, 9):
+                for c in (10.0 ** exponent, -10.0 ** exponent):
+                    dense = np.linalg.cond(operator_matrix(order, (c,) * order, N).to_dense())
+                    rep = condition_full(order, N, (c,) * order)
+                    assert rep.cond == pytest.approx(dense, rel=1e-8), c
+
     def test_unstable_factorization_raises(self):
         # the leading 3 x 3 minor of this D vanishes: the no-pivot LU meets
         # a pivot of 3.9e-14 and solves with a backward error near 1e-2
@@ -368,6 +385,19 @@ class TestSolveDrivers:
         problem = ThirdOrderProblem(0.0, -9.0, 0.0, rhs=lambda x: x)
         with pytest.raises(SingularMatrixError, match="backward error"):
             solve_third(problem, 24)
+
+    @pytest.mark.parametrize("problem", [ThirdOrderProblem, FifthOrderProblem])
+    def test_huge_rhs_scales_exactly(self, problem):
+        # the transform and the backward-error bound run at unit scale, so f*
+        # of 2^1019 cos (it peaks near 5e306) is 2^1019 times that of cos
+        unit = problem(*(1.0,) * problem.order, rhs=np.cos)
+        huge = problem(*(1.0,) * problem.order, rhs=lambda x: np.ldexp(np.cos(x), 1019))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fstar, solution = assemble(huge, 24).rhs, solve(huge, 24)
+        assert fstar.tobytes() == np.ldexp(assemble(unit, 24).rhs, 1019).tobytes()
+        expect = np.ldexp(solve(unit, 24).coefficients, 1019)
+        assert solution.coefficients.tobytes() == expect.tobytes()
 
     def test_zero_rhs_gives_zero_solution(self):
         problem = ThirdOrderProblem(0.0, 0.0, 0.0, rhs=lambda x: np.zeros_like(x))

@@ -53,7 +53,7 @@ def _b2_diagonal(k):
 # --- reference expansion tables --------------------------------------------
 #
 # The closed forms written out term by term, one `pochhammer` call per rising
-# factorial: an independent reference for `OrderSpec.expansion_table` and
+# factorial: an independent reference for `OrderSpec.expansion_band` and
 # `operator_matrix`.  Those build every entry from m through a chain of
 # two-term Jacobi relations, so they agree with these forms to rounding, not
 # bit for bit: within COLUMN_EPS machine epsilons of the largest
@@ -222,14 +222,20 @@ class TestOperatorMatrix:
         # filter callers apply drops nothing but those zeros
         ks = np.arange(8)
         for order in (3, 5):
-            table = order_spec(order).expansion_table
+            spec = order_spec(order)
             for q in range(order + 1):
-                for k in range(8):
-                    for d, c in table(q, k).items():
-                        if k + d < 0:
-                            assert c == 0.0, (order, q, k, d)
-                for d, c in table(q, ks).items():
-                    assert np.all(np.asarray(c)[ks + d < 0] == 0.0), (order, q, d)
+                for d, c in band_table(spec, q, ks.size).items():
+                    assert np.all(c[ks + d < 0] == 0.0), (order, q, d)
+
+
+def band_table(spec, q, count):
+    """{d: row} of `expansion_band` with the one weight w_q = 1 over the columns
+    0 .. count - 1, d = order - q .. q - order; the other rows must be exact zeros."""
+    stack = spec.expansion_band({q: 1.0}, count)
+    reach = spec.order - q
+    outside = np.r_[:q, 2 * spec.order + 1 - q:2 * spec.order + 1]
+    assert not np.any(stack[outside]), (spec.order, q)
+    return {d: stack[spec.order + d] for d in range(reach, -reach - 1, -1)}
 
 
 def scalar_expansion(order, q, j):
@@ -295,8 +301,10 @@ class TestVectorisedAssembly:
         # bit; every other entry is within the column bound of the reference
         spec = order_spec(order)
         for q in range(order + 1):
+            columns = band_table(spec, q, 41)
             for k in range(41):
-                got, expect = spec.expansion_table(q, k), REFERENCE_TABLES[order](q, k)
+                got = {d: row[k] for d, row in columns.items()}
+                expect = REFERENCE_TABLES[order](q, k)
                 assert list(got) == list(expect), (q, k)
                 scale = max(abs(c) for c in expect.values())
                 for d, c in expect.items():
@@ -306,7 +314,7 @@ class TestVectorisedAssembly:
                         assert_within_column_bound(got[d], c, scale, (q, k, d))
             for n in (1, 7, 300, 4092, 20000):
                 k = np.arange(n)
-                got, expect = spec.expansion_table(q, k), REFERENCE_TABLES[order](q, k)
+                got, expect = band_table(spec, q, n), REFERENCE_TABLES[order](q, k)
                 assert list(got) == list(expect), (q, n)
                 scale = np.max([np.abs(c) for c in expect.values()], axis=0)
                 for d, c in expect.items():
@@ -325,16 +333,6 @@ class TestVectorisedAssembly:
         for k in (np.arange(20000), np.arange(20000, dtype=float)):
             assert np.array_equal(diagonal(k).view(np.int64), closed_form(k).view(np.int64))
 
-    def test_expansion_table_needs_consecutive_columns(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            order_spec(3).expansion_table(1, np.array([0, 2, 3]))
-        with pytest.raises(ValueError, match="k >= 0"):
-            order_spec(3).expansion_table(1, -2)
-        with pytest.raises(ValueError, match="k >= 0"):
-            order_spec(5).expansion_table(0, np.arange(-3, 4))
-        with pytest.raises(ValueError, match="nonempty"):
-            order_spec(3).expansion_table(1, np.array([], dtype=int))
-
     @pytest.mark.parametrize("order", [3, 5])
     def test_peak_allocation_bounded(self, order):
         # the chain runs in place on the band rows with one scratch stack of
@@ -349,24 +347,6 @@ class TestVectorisedAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * matrix.data.nbytes
-
-    @pytest.mark.parametrize("order", [3, 5])
-    def test_array_table_matches_scalar_view(self, order):
-        # each column is computed from its own k, so an int k and the same
-        # column of any window of consecutive columns agree bit for bit
-        spec = order_spec(order)
-        for q in range(order + 1):
-            windows = [(0, spec.expansion_table(q, np.arange(301))),
-                       (17, spec.expansion_table(q, np.arange(17, 318)))]
-            for k in range(301):
-                scalar = spec.expansion_table(q, k)
-                for start, table in windows:
-                    if k < start:
-                        continue
-                    assert list(table) == list(scalar), (q, k)
-                    for d, c in scalar.items():
-                        from_table = np.float64(table[d][k - start])
-                        assert np.float64(c).tobytes() == from_table.tobytes(), (q, k, d)
 
     @pytest.mark.parametrize("order", [3, 5])
     @pytest.mark.parametrize("N", [5, 6, 7, 8, 9, 24, 40, 256, 1024, 4096])
@@ -705,7 +685,7 @@ class TestDerivedLift:
     @settings(max_examples=200, deadline=None)
     def test_third_bitwise_closed_form(self, data):
         bc = ThirdOrderBC(*data)
-        got = np.array(order_spec(3).lift(bc))
+        got = np.array(boundary_lift(bc).coefficients)
         assert got.tobytes() == np.array(_lift_third(bc)).tobytes()
 
     @given(st.lists(signed_datum, min_size=5, max_size=5))
@@ -714,13 +694,14 @@ class TestDerivedLift:
         bc = FifthOrderBC(*data)
         spec = order_spec(5)
         scale = np.abs(np.array(spec.lift_matrix)) @ np.abs(bc_values(bc))
-        excess = np.abs(np.array(spec.lift(bc)) - _lift_fifth(bc)) - 4.0 * EPS * scale
+        excess = np.abs(np.array(boundary_lift(bc).coefficients) - _lift_fifth(bc))
+        excess -= 4.0 * EPS * scale
         assert np.all(excess <= 0.0), float(np.max(excess))
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_zero_data_gives_positive_zeros(self, order):
         spec = order_spec(order)
-        coefficients = np.array(spec.lift(spec.bc()))
+        coefficients = np.array(boundary_lift(spec.bc()).coefficients)
         assert not np.any(coefficients) and not np.any(np.signbit(coefficients))
 
     @pytest.mark.parametrize("order,N", [(3, 6), (3, 24), (3, 1024),
