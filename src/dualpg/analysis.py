@@ -10,7 +10,9 @@ entries.  For the full matrices D1/D2 the tabulated reference values are
 singular values and the extreme eigenvalues of D itself (the method's
 positivity claim is about them) come from four short Krylov runs through
 band storage and band LUs (`condition_full`), each ending at a Ritz
-residual of 1e-14 relative, checked every 6 steps, or exactly at m = n.
+residual of 1e-14 relative, checked every 3 steps, or exactly at m = n.
+The runs for eig_max and eig_min start from the Ritz vectors of the
+sigma_max and sigma_min runs.
 """
 from __future__ import annotations
 
@@ -44,10 +46,13 @@ __all__ = [
 
 ERROR_GRID_POINTS = 1001
 # Krylov extremes: Ritz residual tolerance, relative to the Ritz value, steps
-# between convergence checks, and the raise of the shift ||D^T D||_1 above
-# the spectrum (its computed sum is within a few eps of the Gershgorin bound)
+# between convergence checks (3 was fastest at N <= 40 and within 2 steps a
+# run of checking every step at N >= 4096), the steps the basis first has
+# room for (runs take 6-12), and the raise of the shift ||D^T D||_1 above the
+# spectrum (its computed sum is within a few eps of the Gershgorin bound)
 KRYLOV_TOL = 1e-14
-KRYLOV_CHECK = 6
+KRYLOV_CHECK = 3
+KRYLOV_ROOM = 16
 SHIFT_RAISE = 1e-12
 BACKWARD_TOL = 1e-10  # stable band LUs of D measured below 4e-14
 EPS = float(np.finfo(float).eps)
@@ -185,22 +190,27 @@ def _dominant_eigenvalue(apply_op, start, symmetric=False) -> tuple[complex, np.
     """Eigenvalue of largest modulus of a linear operator on R^n, and its Ritz vector.
 
     Arnoldi with full reorthogonalization (two classical Gram-Schmidt
-    passes) from the nonzero vector `start` of length n; for a symmetric
-    operator the Hessenberg matrix is the Lanczos tridiagonal and its Ritz
-    values come from `eigh`.  Every KRYLOV_CHECK steps, and at a breakdown
-    (a new direction beta_m at most eps of the part of A v_m in the basis),
-    the Ritz value theta of largest modulus is accepted once its residual
-    beta_m |y_m| is at most KRYLOV_TOL |theta|; its unit Ritz vector is
-    complex when theta is.  At m = n the Krylov space is all of R^n, so
-    the Ritz values are the eigenvalues, exact up to rounding; no step cap
-    is needed.  The basis grows with the step count.
+    passes) from the nonzero vector `start` of length n (`condition_full`
+    starts eig_max and eig_min from Ritz vectors of its singular-value
+    runs); for a symmetric operator the Hessenberg matrix is the Lanczos
+    tridiagonal and its Ritz values come from `eigh`.  Every KRYLOV_CHECK
+    (3) steps, and at a breakdown (a new direction beta_m at most eps of
+    the part of A v_m in the basis), the Ritz value theta of largest
+    modulus is accepted once its residual beta_m |y_m| is at most
+    KRYLOV_TOL |theta|; its unit Ritz vector is complex when theta is.  At
+    m = n the Krylov space is all of R^n, so the Ritz values are the
+    eigenvalues, exact up to rounding; no step cap is needed.  The basis
+    starts with room for KRYLOV_ROOM steps and doubles when a run
+    outgrows it.
     """
     n = len(start)
-    basis = (start / np.linalg.norm(start))[None, :]  # rows: orthonormal Krylov vectors
-    hess = np.zeros((1, 0))
+    cap = min(n, KRYLOV_ROOM)
+    basis = np.zeros((min(n, cap + 1), n))  # rows: orthonormal Krylov vectors
+    hess = np.zeros((cap + 1, cap))
+    basis[0] = start / math.sqrt(start @ start)
     for m in range(1, n + 1):
-        if hess.shape[1] < m:  # double the capacity, never past n steps
-            cap = min(n, 2 * m)
+        if m > cap:  # double the capacity, never past n steps
+            cap = min(n, 2 * cap)
             basis = _grown(basis, min(n, cap + 1), n)
             hess = _grown(hess, cap + 1, cap)
         vecs = basis[:m]
@@ -209,10 +219,11 @@ def _dominant_eigenvalue(apply_op, start, symmetric=False) -> tuple[complex, np.
         w = w - h @ vecs
         again = vecs @ w
         w -= again @ vecs
-        beta = float(np.linalg.norm(w))
-        hess[:m, m - 1] = h + again
+        h += again
+        beta = math.sqrt(w @ w)
+        hess[:m, m - 1] = h
         hess[m, m - 1] = beta
-        if m == n or m % KRYLOV_CHECK == 0 or beta <= EPS * np.linalg.norm(h + again):
+        if m == n or m % KRYLOV_CHECK == 0 or beta <= EPS * math.sqrt(h @ h):
             if symmetric:
                 ritz, vectors = np.linalg.eigh(hess[:m, :m])
             else:
@@ -225,6 +236,16 @@ def _dominant_eigenvalue(apply_op, start, symmetric=False) -> tuple[complex, np.
     raise AssertionError("unreachable: the loop returns at m = n")
 
 
+def _cleaned(vector: np.ndarray) -> np.ndarray:
+    """`vector` with its entries below eps of its largest set to zero.
+
+    They are rounding residue of a Ritz vector's sums; left in a start
+    vector, they cost Arnoldi on D 60 steps instead of 18 (order 3,
+    (2, 3, 4), N = 1024).
+    """
+    return np.where(np.abs(vector) < EPS * np.abs(vector).max(), 0.0, vector)
+
+
 def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     """Condition report for the full matrix D1 or D2 (default: all-ones).
 
@@ -233,12 +254,15 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     lies strictly above its spectrum, so the LU of G - sI needs no pivots
     and Lanczos on (G - sI)^-1 gives 1 / (sigma_max^2 - s) and the top
     right singular vector v1.  Lanczos on (D^T D)^-1 gives
-    1 / sigma_min^2, Arnoldi on D from v1 gives eig_max and Arnoldi on D^-1
-    gives 1 / eig_min.  One probe solve with D's factors goes through
-    `_check_backward_error` first.  The runs see D / 2^e, 2^e the power of
-    two just above max |D|, so that neither the norms of Krylov vectors of
-    size 1 / |D|^2 nor G underflow or overflow; the extremes are scaled
-    back exactly.
+    1 / sigma_min^2 and the bottom right singular vector vn, Arnoldi on D
+    from v1 gives eig_max and Arnoldi on D^-1 from vn gives 1 / eig_min;
+    each start has its entries below eps of its largest cleared
+    (`_cleaned`).  The band LUs apply their inverses through
+    `BandedLU._inverse_operator`, one list per application.  One probe
+    solve with D's factors goes through `_check_backward_error` first.  The
+    runs see D / 2^e, 2^e the power of two just above max |D|, so that
+    neither the norms of Krylov vectors of size 1 / |D|^2 nor G underflow
+    or overflow; the extremes are scaled back exactly.
     """
     if coefficients is None:
         coefficients = (1.0,) * order_spec(order).n_coefficients
@@ -256,14 +280,13 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     shift = float(np.abs(gram.data).sum(axis=0).max()) * (1.0 + SHIFT_RAISE)
     gram.data[gram.q] -= shift
     shifted = lu_factor_banded(gram)
-    mu, v1 = _dominant_eigenvalue(lambda v: shifted.solve(v)[0], start, symmetric=True)
-    inverse_gram, _ = _dominant_eigenvalue(
-        lambda v: factored.solve(factored.solve_transpose(v))[0], start, symmetric=True)
-    # entries below eps of the largest are rounding residue of the Ritz sums; left
-    # in, they cost Arnoldi on D 60 steps instead of 18 (order 3, (2, 3, 4), N = 1024)
-    v1[np.abs(v1) < EPS * np.abs(v1).max()] = 0.0
-    eig_max, _ = _dominant_eigenvalue(matrix.matvec, v1)
-    inverse_eig, _ = _dominant_eigenvalue(lambda v: factored.solve(v)[0], start)
+    mu, v1 = _dominant_eigenvalue(
+        shifted._inverse_operator("solve"), start, symmetric=True)
+    inverse_gram, vn = _dominant_eigenvalue(
+        factored._inverse_operator("solve_transpose", "solve"), start, symmetric=True)
+    eig_max, _ = _dominant_eigenvalue(matrix.matvec, _cleaned(v1))
+    inverse_eig, _ = _dominant_eigenvalue(
+        factored._inverse_operator("solve"), _cleaned(vn))
     extremes = (float((1.0 / inverse_eig).real), float(eig_max.real),
                 1.0 / math.sqrt(inverse_gram), math.sqrt(shift + 1.0 / mu))
     return _report(order, N, *(math.ldexp(value, e) for value in extremes))

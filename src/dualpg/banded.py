@@ -99,30 +99,36 @@ class BandedMatrix:
         self.data[self.q + i - j, j] = value
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = A x, accumulated diagonal by diagonal."""
-        x = np.asarray(x, dtype=float)
-        y = np.zeros(self.n)
-        for d in range(-self.p, self.q + 1):
-            row = self.data[self.q - d]
-            if d >= 0:
-                y[: self.n - d] += row[d:] * x[d:]
-            else:
-                y[-d:] += row[: self.n + d] * x[: self.n + d]
-        return y
+        """y = A x, summed from +0.0 over the diagonals in increasing j - i.
+
+        The products data[q - d, j] x[j] go into band rows reversed and
+        padded by p columns before and q after, so that one skewed view
+        lines up every term of y[i] in column i, the padding standing in
+        for the entries past the matrix edge; the sum over the view adds
+        them in that diagonal order, as a loop over the diagonals would.
+        """
+        n, p, q = self.n, self.p, self.q
+        rows, width = p + q + 1, n + p + q
+        products = np.zeros((rows, width))
+        np.multiply(self.data[::-1], x, out=products[:, p:p + n])
+        step = products.itemsize  # one row down and one column right per diagonal
+        skewed = np.ndarray((rows, n), float, products, 0, ((width + 1) * step, step))
+        return skewed.sum(axis=0, initial=0.0)
 
     def gram(self) -> BandedMatrix:
-        """G = A^T A, with both bandwidths p + q (at most n - 1): row k of A adds
-        A[k, k + a] A[k, k + b] to G[k + a, k + b] for diagonals a <= b of A,
-        and the diagonals of G below its main one mirror those above."""
-        n, p, q = self.n, self.p, self.q
-        w = min(p + q, n - 1)
+        """G = A^T A, with both bandwidths p + q (at most n - 1).
+
+        G[i, i + d] = sum_s data[s, i] data[s - d, i + d] over the band rows
+        s >= d, one product per diagonal d of G, summed from +0.0 in
+        decreasing s (increasing diagonal of A, the order of a loop over the
+        rows of A); the diagonals of G below its main one mirror those above.
+        """
+        n, w = self.n, min(self.p + self.q, self.n - 1)
+        rows = self.p + self.q + 1
         gram = BandedMatrix(n, w, w)
-        for a in range(-p, q + 1):
-            for b in range(a, min(q, a + w) + 1):
-                lo, hi = max(0, -a), n - max(0, b)  # rows k holding both entries
-                gram.data[w - b + a, lo + b:hi + b] += (
-                    self.data[q - a, lo + a:hi + a] * self.data[q - b, lo + b:hi + b])
-        for d in range(1, w + 1):
+        for d in range(w + 1):
+            products = self.data[d:, : n - d][::-1] * self.data[: rows - d, d:][::-1]
+            gram.data[w - d, d:] = products.sum(axis=0, initial=0.0)
             gram.data[w + d, : n - d] = gram.data[w - d, d:]
         return gram
 
@@ -319,6 +325,25 @@ class BandedLU:
         x = self._vector(rhs)
         _kernel("solve_transpose", self.p, self.q)(self.rows, x)
         return np.array(x)
+
+    def _inverse_operator(self, *names: str) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> the kernels `names` (`_KERNEL_SOURCES` keys) run in turn on v.
+
+        The operator of a Krylov run: each application makes one list of v
+        and one array of the result, checks no shape and counts no
+        operations.  `_inverse_operator("solve_transpose", "solve")` applies
+        (A^T A)^-1 bit for bit as `solve(solve_transpose(v))` would.
+        """
+        rows = self.rows
+        kernels = [_kernel(name, self.p, self.q) for name in names]
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            x = v.tolist()
+            for kernel in kernels:
+                kernel(rows, x)
+            return np.array(x)
+
+        return apply
 
 
 def lu_factor_banded(matrix: BandedMatrix) -> BandedLU:

@@ -127,6 +127,25 @@ class FifthOrderProblem(_Problem):
     bc: FifthOrderBC = field(default_factory=FifthOrderBC)
 
 
+def _negated_inverse(H: list[list[int]]) -> list[list[float]]:
+    """-H^-1 for a nonsingular integer matrix H, each entry rounded once.
+
+    Gauss-Jordan on [H | -I] over the integers: every row operation scales
+    by whole numbers, so row i ends as d_i e_i | -d_i H^-1[i] and entry
+    (i, j) is one correctly rounded integer division (exact where it is
+    dyadic, as for orders 3 and 5).
+    """
+    size = len(H)
+    rows = [row + [-int(i == j) for j in range(size)] for i, row in enumerate(H)]
+    for col in range(size):
+        swap = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[swap] = rows[swap], rows[col]
+        pivot = rows[col]
+        rows = [[pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
+                if r != col and row[col] else row for r, row in enumerate(rows)]
+    return [[a / row[i] for a in row[size:]] for i, row in enumerate(rows)]
+
+
 @dataclass(eq=False)
 class OrderSpec:
     """Everything order-dependent about one odd order 2m + 1.
@@ -155,11 +174,10 @@ class OrderSpec:
             (i, x) for i in range(m + 1) for x in (-1.0, 1.0) if i < m or x > 0.0
         )
         size = self.n_coefficients
-        # H[r][d] = D^i x^d at boundary point r = (i, x); -H^-1 is dyadic for
-        # orders 3 and 5, so the inverse comes back exact
-        H = [[math.perm(d, i) * x ** (d - i) if d >= i else 0.0 for d in range(size)]
+        # H[r][d] = D^i x^d at boundary point r = (i, x), an integer matrix
+        H = [[math.perm(d, i) * int(x) ** (d - i) if d >= i else 0 for d in range(size)]
              for i, x in self.boundary_points]
-        self.lift_matrix = (-np.linalg.inv(H)).tolist()
+        self.lift_matrix = _negated_inverse(H)
 
     def dimension(self, N: int) -> int:
         """Number of basis functions at truncation N; ValueError for N < order."""

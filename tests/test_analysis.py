@@ -166,6 +166,25 @@ class TestConditionFull:
             if (order, N) == (3, 1024):
                 assert rep.cond == pytest.approx(181395, rel=1e-5)
 
+    @pytest.mark.parametrize("order,coeffs,lengths", [
+        (3, (2.0, 3.0, 4.0), (6, 9, 12, 9)), (5, (1.0,) * 5, (6, 9, 9, 6))],
+        ids=["3-234", "5-ones"])
+    def test_krylov_run_lengths_at_n4096(self, monkeypatch, order, coeffs, lengths):
+        # sigma_max, sigma_min, eig_max, eig_min at N = 4096, each run
+        # checked every KRYLOV_CHECK steps and eig_min started from
+        # sigma_min's Ritz vector
+        runs = count_krylov_runs(monkeypatch)
+        condition_full(order, 4096, coeffs)
+        assert len(runs) == 4 and all(0 < r <= b for r, b in zip(runs, lengths)), runs
+
+    def test_near_defective_bottom_pair(self):
+        # D's eigenvalues of least modulus are the pair 149.53783821009053
+        # +- 1.33e-4 i (mpmath eig of the float matrix at 40 digits); numpy
+        # eigvals splits it into two reals 2.7e-4 apart.  The Ritz-residual
+        # stop bounds no error of such a pair: this pins one instance only
+        rep = condition_full(3, 52, (-39.3, -6.3, -27.1))
+        assert rep.eig_min == pytest.approx(149.53783821009053, rel=1e-8)
+
     @pytest.mark.parametrize("coefficient", [0.0, -1.2e-163])
     @pytest.mark.parametrize("N", [16, 24, 40])
     @pytest.mark.parametrize("order", [3, 5])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualpg import banded, solve_diagonal_fifth, solve_diagonal_third
+from dualpg.assembly import operator_matrix
 from dualpg.banded import BandedMatrix, SingularMatrixError, lu_factor_banded
 
 
@@ -35,6 +36,56 @@ def random_band(n, p, q, rng, dominance=0.0):
             m.set(i, j, rng.uniform(-1, 1))
         m.set(i, i, m.get(i, i) + dominance)
     return m
+
+
+def signed_band(n, p, q, rng):
+    """Band with exact and signed zeros among its entries, zero outside the matrix."""
+    m = BandedMatrix(n, p, q)
+    for i in range(n):
+        for j in range(max(0, i - p), min(n, i + q + 1)):
+            m.set(i, j, rng.choice([-1.5, 0.0, -0.0, 3.25, rng.uniform(-1, 1)]))
+    return m
+
+
+def pair_loop_gram(matrix):
+    """A^T A by the pair loop over diagonals a <= b of A: row k of A adds
+    A[k, k + a] A[k, k + b] to G[k + a, k + b], G mirrored below."""
+    n, p, q = matrix.n, matrix.p, matrix.q
+    w = min(p + q, n - 1)
+    gram = BandedMatrix(n, w, w)
+    for a in range(-p, q + 1):
+        for b in range(a, min(q, a + w) + 1):
+            lo, hi = max(0, -a), n - max(0, b)
+            gram.data[w - b + a, lo + b:hi + b] += (
+                matrix.data[q - a, lo + a:hi + a] * matrix.data[q - b, lo + b:hi + b])
+    for d in range(1, w + 1):
+        gram.data[w + d, : n - d] = gram.data[w - d, d:]
+    return gram
+
+
+def diagonal_loop_matvec(matrix, x):
+    """A x accumulated diagonal by diagonal into zeros, one slice each."""
+    n, q = matrix.n, matrix.q
+    y = np.zeros(n)
+    for d in range(-matrix.p, q + 1):
+        row = matrix.data[q - d]
+        if d >= 0:
+            y[: n - d] += row[d:] * x[d:]
+        else:
+            y[-d:] += row[: n + d] * x[: n + d]
+    return y
+
+
+def band_cases():
+    """Operator matrices of orders 3 and 5 and signed random bands."""
+    rng = np.random.default_rng(26)
+    for order in (3, 5):
+        for coeffs in ((1.0,) * order, tuple(rng.uniform(-40.0, 40.0, order))):
+            for N in [*range(order + 1, 70), 255, 1024]:
+                yield operator_matrix(order, coeffs, N), rng
+    for n, p, q in ((9, 2, 3), (7, 0, 2), (7, 2, 0), (5, 3, 3), (2, 1, 1), (1, 0, 0)):
+        for _ in range(20):
+            yield signed_band(n, p, q, rng), rng
 
 
 def reference_factor(matrix):
@@ -117,6 +168,18 @@ class TestBandedMatrix:
         for d in range(-gram.p, gram.q + 1):
             outside[gram.q - d, max(0, d):min(n, n + d)] = False
         assert not gram.data[outside].any()
+
+    def test_gram_bitwise_equal_to_pair_loop(self):
+        # one product per diagonal of G sums the same terms in the same order
+        for matrix, _ in band_cases():
+            assert matrix.gram().data.tobytes() == pair_loop_gram(matrix).data.tobytes()
+
+    def test_matvec_bitwise_equal_to_diagonal_loop(self):
+        # the skewed view adds the diagonals in the loop's order; the padding
+        # terms are zeros, which leave a sum started at +0.0 unchanged
+        for matrix, rng in band_cases():
+            x = rng.choice([-0.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)], size=matrix.n)
+            assert matrix.matvec(x).tobytes() == diagonal_loop_matvec(matrix, x).tobytes()
 
     def test_bandwidth_bounds(self):
         with pytest.raises(ValueError):
@@ -208,6 +271,16 @@ class TestLU:
         rhs = rng.uniform(-1, 1, 10)
         y = lu_factor_banded(m).solve_transpose(rhs)
         assert np.max(np.abs(m.to_dense().T @ y - rhs)) < 1e-11
+
+    def test_inverse_operator_bitwise_equal_to_solves(self):
+        # one list through both kernels gives what two checked solves give
+        rng = np.random.default_rng(11)
+        for n, p, q in ((1, 0, 0), (9, 2, 3), (38, 5, 5)):
+            fac = lu_factor_banded(random_band(n, p, q, rng, dominance=p + q + 2.0))
+            v = rng.uniform(-1.0, 1.0, n)
+            both = fac._inverse_operator("solve_transpose", "solve")(v)
+            assert both.tobytes() == fac.solve(fac.solve_transpose(v))[0].tobytes()
+            assert fac._inverse_operator("solve")(v).tobytes() == fac.solve(v)[0].tobytes()
 
     def test_singular_pivot_names_row(self):
         m = BandedMatrix(4, 1, 1)
