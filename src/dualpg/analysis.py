@@ -29,7 +29,7 @@ from .assembly import (
     operator_matrix,
 )
 from .banded import SingularMatrixError, lu_factor_banded, solve_diagonal
-from .jacobi import R_rows
+from .jacobi import R_series
 from .orders import order_spec
 
 __all__ = [
@@ -84,18 +84,18 @@ class SpectralSolution:
 def evaluate_solution(solution: SpectralSolution, x):
     """u_N(x) = sum_k a_k phi_k(x) minus the boundary lift, in x's shape.
 
-    The Jacobi series is summed row by row as its recurrence runs, so
-    memory is O(x.size) whatever the dimension.
+    The Jacobi series is summed by Clenshaw's backward recurrence
+    (`jacobi.R_series`), so memory is O(x.size) whatever the dimension.  A
+    zero lift is not evaluated: subtracting its +0.0 would change nothing.
     """
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    a = solution.coefficients
     spec = order_spec(solution.order)
-    series = np.zeros(flat.size)
-    for ak, row in zip(a, R_rows(spec.trial_params, len(a) - 1, flat)):
-        series += ak * row
-    weight = np.polynomial.polynomial.polyval(flat, spec.trial_weight)
-    vals = (weight * series - solution.lift(flat)).reshape(arr.shape)
+    vals = R_series(spec.trial_params, solution.coefficients, flat)
+    vals *= np.polynomial.polynomial.polyval(flat, spec.trial_weight)
+    if not solution.lift.is_zero:
+        vals -= solution.lift(flat)
+    vals = vals.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals
 
 
@@ -150,6 +150,15 @@ class ConditionReport:
     Where those are real, as for the paper's operators, that is the
     eigenvalue itself; where they are a complex pair, it is the pair's
     common real part.
+
+    The Krylov runs stop on a Ritz residual, which bounds no eigenvalue
+    error of a near-defective or complex bottom pair of D: there eig_min
+    can be off by far more than the 1e-14 residual.  Over 1500 random
+    draws (orders 3 and 5, N <= 96, |c| up to 1000) it missed the real part
+    of numpy's smallest eigenvalue by more than 1e-8 relative in 43, nearly
+    all with such a pair, where `eigvals` itself splits the pair.
+    `test_near_defective_bottom_pair` pins one instance (order 3, N = 52)
+    within 1e-8 of its mpmath value; it is an instance, not a bound.
     """
 
     n_label: int  # 1 for order 3, 2 for order 5
@@ -262,7 +271,9 @@ def condition_full(order: int, N: int, coefficients=None) -> ConditionReport:
     solve with D's factors goes through `_check_backward_error` first.  The
     runs see D / 2^e, 2^e the power of two just above max |D|, so that
     neither the norms of Krylov vectors of size 1 / |D|^2 nor G underflow
-    or overflow; the extremes are scaled back exactly.
+    or overflow; the extremes are scaled back exactly.  The residual stop
+    bounds no error of eig_min at a near-defective or complex bottom pair
+    (`ConditionReport`).
     """
     if coefficients is None:
         coefficients = (1.0,) * order_spec(order).n_coefficients

@@ -2,9 +2,14 @@
 
 Each family carries a closed-form exact solution whose derivatives (up to
 order five) are differentiated analytically: solutions are finite sums of
-polynomial * {sin, cos} or polynomial * {sinh, cosh} terms, a class closed
-under d/dx, so right-hand sides are exact and convergence tables are never
-polluted by differentiation error.
+polynomial * {sin, cos} or polynomial * {sinh, cosh} terms (`TrigPolySum`),
+a class closed under d/dx, so right-hand sides are exact and convergence
+tables are never polluted by differentiation error.  The class is closed
+under linear combination too, so a right-hand side L u = sum_q w_q u^(q) is
+one `TrigPolySum` with one polynomial per kernel: sampling it costs one
+Horner pass and one sin/cos or sinh/cosh call per kernel, not one per
+derivative, and terms that cancel exactly (L sinh = 0 for coefficients
+1, 1, 1) leave an exact zero.  A family's boundary data is computed once.
 
   family 1 (order 3): u = (1 - x^2) x^j sin(m pi x), integer j, m >= 1;
                       homogeneous data u(+-1) = u'(1) = 0
@@ -15,9 +20,10 @@ polluted by differentiation error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,51 +31,80 @@ from .orders import order_spec, pinned
 
 __all__ = ["TrigPolySum", "ExampleFamily", "make_family"]
 
-_P = np.polynomial.polynomial
+_KERNELS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
+# d/dx kernel(omega x) = sign omega partner(omega x)
+_PARTNER = {"sin": ("cos", 1.0), "cos": ("sin", -1.0),
+            "sinh": ("cosh", 1.0), "cosh": ("sinh", 1.0)}
+
+
+def _push(acc: dict[str, list[float]], kernel: str, coeffs: list[float]) -> None:
+    """Add the ascending polynomial `coeffs` to `acc[kernel]`, entry by entry
+    from +0.0, in Python floats: the polynomials have a few terms each."""
+    if kernel in acc:
+        acc[kernel] = [0.0 + a + b for a, b in zip_longest(acc[kernel], coeffs, fillvalue=0.0)]
+    else:
+        acc[kernel] = coeffs
 
 
 @dataclass(frozen=True)
 class TrigPolySum:
-    """sum over kernels of p_kernel(x) * kernel(omega x), closed under d/dx."""
+    """sum over kernels of p_kernel(x) * kernel(omega x).
+
+    Closed under d/dx (`derivative`) and under linear combination of sums
+    with one omega (`combination`); both merge the polynomials per kernel,
+    so a sum never holds a kernel twice.
+    """
 
     omega: float
     terms: tuple[tuple[str, tuple[float, ...]], ...]
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        kernels = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
+        phase = self.omega * arr
         total = np.zeros(arr.shape)
         for kernel, coeffs in self.terms:
-            total = total + _P.polyval(arr, np.asarray(coeffs)) * kernels[kernel](
-                self.omega * arr
-            )
+            # Horner in place, bitwise polyval: c[-1] + 0 x, then c[i] + p x
+            p = arr * 0.0
+            p += coeffs[-1]
+            for c in coeffs[-2::-1]:
+                p *= arr
+                p += c
+            p *= _KERNELS[kernel](phase)
+            total += p
         return float(total) if arr.ndim == 0 else total
 
     def derivative(self) -> "TrigPolySum":
-        partner = {"sin": ("cos", 1.0), "cos": ("sin", -1.0),
-                   "sinh": ("cosh", 1.0), "cosh": ("sinh", 1.0)}
-        acc: dict[str, np.ndarray] = {}
-
-        def push(kernel: str, coeffs: np.ndarray) -> None:
-            if kernel in acc:
-                size = max(len(acc[kernel]), len(coeffs))
-                merged = np.zeros(size)
-                merged[: len(acc[kernel])] += acc[kernel]
-                merged[: len(coeffs)] += coeffs
-                acc[kernel] = merged
-            else:
-                acc[kernel] = np.asarray(coeffs, dtype=float)
-
-        for kernel, coeffs in self.terms:
-            poly = np.asarray(coeffs, dtype=float)
+        acc: dict[str, list[float]] = {}
+        for kernel, poly in self.terms:
             if len(poly) > 1:
-                push(kernel, _P.polyder(poly))
-            other, sign = partner[kernel]
-            push(other, sign * self.omega * poly)
-        terms = tuple(
-            (kernel, tuple(c)) for kernel, c in sorted(acc.items()) if np.any(c)
-        )
-        return TrigPolySum(omega=self.omega, terms=terms)
+                _push(acc, kernel, [i * c for i, c in enumerate(poly)][1:])
+            other, sign = _PARTNER[kernel]
+            scale = sign * self.omega
+            _push(acc, other, [scale * c for c in poly])
+        return TrigPolySum._merged(self.omega, acc)
+
+    @staticmethod
+    def combination(weighted) -> "TrigPolySum":
+        """sum w s over the (w, s) pairs, every s of one omega.
+
+        Each kernel's polynomial is the sum of the w-scaled polynomials in
+        pair order, so terms that cancel exactly leave no term at all.
+        """
+        acc: dict[str, list[float]] = {}
+        omegas = set()
+        for w, s in weighted:
+            omegas.add(s.omega)
+            for kernel, poly in s.terms:
+                _push(acc, kernel, [w * c for c in poly])
+        if len(omegas) != 1:
+            raise ValueError(f"a combination needs sums of one omega, got {sorted(omegas)}")
+        return TrigPolySum._merged(omegas.pop(), acc)
+
+    @staticmethod
+    def _merged(omega: float, acc: dict[str, list[float]]) -> "TrigPolySum":
+        """The sum of the kernels' polynomials in `acc`, dropping zero ones."""
+        terms = tuple((kernel, tuple(c)) for kernel, c in sorted(acc.items()) if any(c))
+        return TrigPolySum(omega=omega, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -81,23 +116,33 @@ class ExampleFamily:
     derivatives: tuple[TrigPolySum, ...]  # exact, u', ..., u^(5)
     homogeneous: bool = False  # boundary data vanishes structurally
 
-    def rhs(self, coefficients):
-        """Right-hand side L u of the family's order for these coefficients."""
-        weights = order_spec(self.order).weights(coefficients)
-        d = self.derivatives
+    def rhs(self, coefficients) -> TrigPolySum:
+        """Right-hand side L u = sum_q w_q u^(q) of the family's order, as one sum.
 
-        def rhs(x):
-            return reduce(add, [w * d[q](x) for q, w in weights.items()])
+        A non-finite coefficient raises the problem record's ValueError,
+        naming its field, before any arithmetic on it.
+        """
+        spec = order_spec(self.order)
+        weights = spec.weights(coefficients)
+        if not all(map(math.isfinite, coefficients)):
+            spec.problem(*coefficients, rhs=None, bc=self.bc())  # raises
+        return TrigPolySum.combination(
+            (w, self.derivatives[q]) for q, w in weights.items())
 
-        return rhs
-
-    def bc(self):
-        """Boundary data of the exact solution, as the order's BC record."""
+    @cached_property
+    def _boundary_data(self):
         spec = order_spec(self.order)
         if self.homogeneous:
             # exact zeros: evaluating sin(m pi) etc. would leave roundoff
             return spec.bc()
         return spec.bc(*(self.derivatives[i](x) for i, x in spec.boundary_points))
+
+    def bc(self):
+        """Boundary data of the exact solution, as the order's BC record.
+
+        A constant of the family: computed on the first call only.
+        """
+        return self._boundary_data
 
     def problem(self, coefficients):
         """The family's boundary value problem for these operator coefficients."""

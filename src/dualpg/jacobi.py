@@ -30,6 +30,7 @@ __all__ = [
     "QuadratureRule",
     "pochhammer",
     "R_rows",
+    "R_series",
     "eval_R",
     "eval_R_derivative",
     "norm_h",
@@ -74,26 +75,35 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
+def _recurrence(params: JacobiParams, count: int):
+    """c0, c1, c2, c3 of c0 R_{n+1} = (c1 x + c2) R_n - c3 R_{n-1}, n < count.
+
+    Four float arrays, each entry the same IEEE operations on the integer n
+    as the scalar formula would take; n = 0 holds the start R_1 = ((lam + 1)
+    x + a - b) / (2 (a + 1)), with c3 = 0 against R_{-1} = 0.
+    """
+    a, b = params.alpha, params.beta
+    lam = params.lam
+    n = np.arange(float(count))
+    s = 2.0 * n + lam
+    c0 = 2.0 * (n + lam) * (n + a + 1.0) * (s - 1.0)
+    c1 = (s - 1.0) * s * (s + 1.0)
+    c2 = (a * a - b * b) * s
+    c3 = 2.0 * n * (n + b) * (s + 1.0)
+    if count:
+        c0[0], c1[0], c2[0], c3[0] = 2.0 * (a + 1.0), lam + 1.0, a - b, 0.0
+    return c0, c1, c2, c3
+
+
 def R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
     """Yield R_0 .. R_nmax at the 1-d points x, keeping two rows alive."""
     if nmax < 0:
         raise ValueError("degree must be nonnegative")
-    a, b = params.alpha, params.beta
-    lam = params.lam
-    prev = np.ones(x.size)
-    yield prev
-    if nmax < 1:
-        return
-    cur = (a - b + (lam + 1.0) * x) / (2.0 * (a + 1.0))
+    prev, cur = np.zeros(x.size), np.ones(x.size)
     yield cur
-    for n in range(1, nmax):
-        s = 2.0 * n + lam
-        c0 = 2.0 * (n + lam) * (n + a + 1.0) * (s - 1.0)
-        c1 = (s - 1.0) * s * (s + 1.0)
-        c2 = (a * a - b * b) * s
-        c3 = 2.0 * n * (n + b) * (s + 1.0)
+    for c0, c1, c2, c3 in zip(*(c.tolist() for c in _recurrence(params, nmax))):
         # ((c1 x + c2) cur - c3 prev) / c0 in that order, on one new array
-        # rather than a temporary per operation (the series sums call this per row)
+        # rather than a temporary per operation
         nxt = c1 * x
         nxt += c2
         nxt *= cur
@@ -101,6 +111,32 @@ def R_rows(params: JacobiParams, nmax: int, x: np.ndarray):
         nxt /= c0
         prev, cur = cur, nxt
         yield cur
+
+
+def R_series(params: JacobiParams, coefficients, x: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] R_k at the 1-d points x, by Clenshaw's backward sum.
+
+    With R_{k+1} = (A_k x + B_k) R_k - C_k R_{k-1}, the ratios c1 / c0,
+    c2 / c0 and c3 / c0 of `_recurrence`, the sum is b_0 of
+    b_k = a_k + (A_k x + B_k) b_{k+1} - C_{k+1} b_{k+2}, b past the top
+    degree 0 (Clenshaw, Math. Tables Aids Comput. 9, 1955): one backward
+    pass of six array operations per degree on three rotating rows of
+    x.size, whatever the degree.
+    """
+    a = np.asarray(coefficients, dtype=float).tolist()
+    nmax = len(a) - 1
+    c0, c1, c2, c3 = _recurrence(params, nmax + 1)
+    A, B, C = (c1 / c0).tolist(), (c2 / c0).tolist(), (c3 / c0).tolist()
+    b1, b2, new = np.full(x.size, a[nmax]), np.zeros(x.size), np.empty(x.size)
+    for k in range(nmax - 1, -1, -1):
+        np.multiply(x, A[k], out=new)
+        new += B[k]
+        new *= b1
+        new += a[k]
+        b2 *= C[k + 1]
+        new -= b2
+        b1, b2, new = new, b1, b2
+    return b1
 
 
 def eval_R(params: JacobiParams, n: int, x):

@@ -474,12 +474,18 @@ class TestRhsProjection:
         assert np.count_nonzero(out[3:]) == 0
 
     def test_rounding_noise_projects_to_zeros(self):
-        # table 5, m = 1, coefficients 1,1,1: L sinh = 0, so the sampled
-        # right-hand side is rounding noise of both signs
-        problem = make_family(3, m=1.0).third_order_problem((1.0, 1.0, 1.0))
+        # table 5, m = 1, coefficients 1,1,1: L sinh = 0, so the sum of the
+        # sampled derivative terms is rounding noise of both signs (the
+        # family's merged right-hand side is exactly zero instead)
+        family = make_family(3, m=1.0)
+        weights = order_spec(3).weights((1.0, 1.0, 1.0))
+
+        def noisy(x):
+            return sum(w * family.derivatives[q](x) for q, w in weights.items())
+
         x = np.linspace(-1.0, 1.0, 101)
-        assert 0.0 < np.max(np.abs(problem.rhs(x))) < 1e-15
-        assert np.count_nonzero(rhs_projection(3, problem.rhs, 24)) == 0
+        assert 0.0 < np.max(np.abs(noisy(x))) < 1e-15
+        assert np.count_nonzero(rhs_projection(3, noisy, 24)) == 0
 
     @pytest.mark.parametrize("index,delta,N", [
         (0, 1e-9, 24), (1, 1e-9, 24), (2, 1e-12, 24), (0, 1e-9, 256),

@@ -2,7 +2,55 @@
 import numpy as np
 import pytest
 
+from dualpg.assembly import rhs_projection
 from dualpg.families import TrigPolySum, make_family
+from dualpg.orders import order_spec
+
+# (family, j, m) of Tables 3-5 and every coefficient set of their order:
+# the printed sets, Table 3's (N, N^2, N^3) and (N^3, N^2, N) at N = 8..24,
+# and a few draws from [0, 4]
+TABLE_FAMILIES = (
+    [(1, j, m) for j in (0, 1, 2) for m in (1, 2)]
+    + [(2, None, m) for m in (0.5, 1.0, 2.0, 3.0)]
+    + [(3, None, m) for m in (1.0, 2.0, 3.0)]
+)
+_DRAWS = np.random.default_rng(27).uniform(0.0, 4.0, (4, 5))
+TABLE_COEFFICIENTS = {
+    3: [(0.0, 0.0, 0.0), (2.0, 3.0, 4.0), (0.0, 1.0, 0.0), (1.0, 0.0, 1.0),
+        (1.0, 1.0, 1.0)]
+       + [(float(N), float(N) ** 2, float(N) ** 3) for N in (8, 12, 16, 20, 24)]
+       + [(float(N) ** 3, float(N) ** 2, float(N)) for N in (8, 12, 16, 20, 24)]
+       + [tuple(d[:3]) for d in _DRAWS],
+    5: [(0.0,) * 5, (1.0,) * 5, (0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 2.0, 1.0, 2.0, 1.0)]
+       + [tuple(d) for d in _DRAWS],
+}
+EPS = np.finfo(float).eps
+KERNELS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
+
+
+def per_derivative_rhs(family, coefficients, x):
+    """sum_q w_q u^(q)(x), one sampled term per derivative, summed from 0."""
+    weights = order_spec(family.order).weights(coefficients)
+    return sum(w * family.derivatives[q](x) for q, w in weights.items())
+
+
+def term_scale(family, coefficients):
+    """sum_q |w_q| sum over kernels and powers of |c_i| max |kernel| on [-1, 1]."""
+    weights = order_spec(family.order).weights(coefficients)
+    omega = family.exact.omega
+    top = {"sin": 1.0, "cos": 1.0, "sinh": np.sinh(abs(omega)), "cosh": np.cosh(omega)}
+    return sum(abs(w) * sum(top[k] * np.abs(c).sum() for k, c in family.derivatives[q].terms)
+               for q, w in weights.items())
+
+
+def polyval_sum(u, x):
+    """The sum of polyval(x, p) * kernel(omega x) over u's terms, from zeros."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape)
+    for kernel, coeffs in u.terms:
+        total = total + np.polynomial.polynomial.polyval(
+            x, np.asarray(coeffs)) * KERNELS[kernel](u.omega * x)
+    return total
 
 
 def central_difference(f, x, h=1e-6):
@@ -26,6 +74,75 @@ class TestTrigPolySum:
         d2 = u.derivative().derivative()
         fd = (u(0.3 + 1e-5) - 2 * u(0.3) + u(0.3 - 1e-5)) / 1e-10
         assert d2(0.3) == pytest.approx(fd, rel=1e-4)
+
+
+class TestTrigPolySumMerging:
+    def test_call_is_bitwise_polyval(self):
+        # the in-place Horner of __call__ against polyval, over every term
+        # of the table families' derivative chains
+        x = np.concatenate((np.linspace(-1.0, 1.0, 37), [-0.0, 0.0]))
+        for fid, j, m in TABLE_FAMILIES:
+            for u in make_family(fid, j=j, m=m).derivatives:
+                assert u(x).tobytes() == polyval_sum(u, x).tobytes()
+                assert u(0.3) == float(polyval_sum(u, 0.3))
+
+    def test_combination_merges_per_kernel(self):
+        u = TrigPolySum(omega=2.0, terms=(("cos", (1.0, 2.0)), ("sin", (0.5,))))
+        v = TrigPolySum(omega=2.0, terms=(("sin", (0.0, 0.0, 3.0)),))
+        w = TrigPolySum.combination([(2.0, u), (-1.0, v), (-1.0, u)])
+        assert w.terms == (("cos", (1.0, 2.0)), ("sin", (0.5, 0.0, -3.0)))
+        assert TrigPolySum.combination([(1.0, u), (-1.0, u)]).terms == ()
+
+    def test_combination_needs_one_omega(self):
+        u = TrigPolySum(omega=2.0, terms=(("cos", (1.0,)),))
+        v = TrigPolySum(omega=3.0, terms=(("cos", (1.0,)),))
+        with pytest.raises(ValueError, match="one omega"):
+            TrigPolySum.combination([(1.0, u), (1.0, v)])
+
+
+class TestMergedRhs:
+    @pytest.mark.parametrize("fid,j,m", TABLE_FAMILIES, ids=str)
+    def test_matches_per_derivative_sum(self, fid, j, m):
+        # the merged sum and the per-derivative sum round differently; both
+        # are within a few eps of the terms' absolute sum, so 32 eps bounds
+        # their gap
+        family = make_family(fid, j=j, m=m)
+        x = np.cos(np.pi * (np.arange(64) + 0.5) / 64)  # Chebyshev points
+        for coefficients in TABLE_COEFFICIENTS[family.order]:
+            rhs = family.rhs(coefficients)
+            assert isinstance(rhs, TrigPolySum)
+            assert len({kernel for kernel, _ in rhs.terms}) == len(rhs.terms)
+            gap = np.max(np.abs(rhs(x) - per_derivative_rhs(family, coefficients, x)))
+            assert gap <= 32 * EPS * term_scale(family, coefficients)
+
+    def test_cancelling_rhs_is_exactly_zero(self):
+        # table 5, m = 1, coefficients 1,1,1: L sinh = 0, and the merge
+        # cancels it coefficient by coefficient
+        problem = make_family(3, m=1.0).third_order_problem((1.0, 1.0, 1.0))
+        assert problem.rhs.terms == ()
+        x = np.linspace(-1.0, 1.0, 101)
+        assert problem.rhs(x).tobytes() == np.zeros(101).tobytes()
+        assert np.count_nonzero(rhs_projection(3, problem.rhs, 24)) == 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("fid,index,field", [
+        (1, 0, "alpha1"), (3, 2, "gamma1"), (2, 4, "mu2"),
+    ])
+    def test_nonfinite_coefficient_named_before_merging(self, bad, fid, index, field):
+        # RuntimeWarnings are errors here: inf times a zero polynomial
+        # coefficient would raise one, so no arithmetic may run first
+        family = make_family(fid)
+        coefficients = [1.0] * family.order
+        coefficients[index] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            family.rhs(tuple(coefficients))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            family.problem(tuple(coefficients))
+
+    def test_boundary_data_computed_once(self):
+        family = make_family(3, m=2.0)
+        assert family.bc() is family.bc()
+        assert family.problem((1.0, 0.0, 1.0)).bc is family.bc()
 
 
 class TestFamilyOne:
