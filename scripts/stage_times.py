@@ -2,8 +2,8 @@
 """Median wall time of each stage of a manufactured-solution solve.
 
 For order 3 (family 1, j = 1, m = 1) and order 5 (family 2, m = 1), both
-with all-ones operator coefficients, prints per truncation N the median of
-REPEATS timed calls in this process, in microseconds, of:
+with all-ones operator coefficients, prints per truncation N in SIZES the
+median of REPEATS timed calls in this process, in microseconds, of:
 
   problem   building the family's problem record, right-hand side included
   rhs       sampling the right-hand side at every node array the projection
@@ -19,11 +19,10 @@ REPEATS timed calls in this process, in microseconds, of:
 One untimed pass runs first, so the band kernels are compiled before any
 timing.  Run with `src/` on PYTHONPATH:
 
-    PYTHONPATH=src python3 scripts/stage_times.py [--sizes 24 256 4096]
+    PYTHONPATH=src python3 scripts/stage_times.py
 """
 from __future__ import annotations
 
-import argparse
 import statistics
 import time
 
@@ -34,6 +33,7 @@ from dualpg.assembly import boundary_lift, operator_matrix, rhs_projection
 from dualpg.banded import lu_factor_banded
 from dualpg.families import make_family
 
+SIZES = (24, 256, 4096, 16384)  # truncations N
 REPEATS = 7  # timed calls per stage and N
 CASES = {3: (1, {"j": 1, "m": 1}), 5: (2, {"m": 1.0})}  # order: family, parameters
 STAGES = ("problem", "rhs", "project", "assemble", "lu", "solve",
@@ -80,15 +80,10 @@ def median_us(call, repeats: int) -> float:
     return statistics.median(times) * 1e6
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[24, 256, 4096],
-                        help="truncations N to report")
-    args = parser.parse_args(argv)
-
+def main() -> None:
     print(f"{'order':>5} {'N':>6} " + " ".join(f"{s:>9}" for s in STAGES) + "  (us)")
     for order in CASES:
-        for N in args.sizes:
+        for N in SIZES:
             calls = stage_calls(order, N)
             for call in calls.values():  # compile kernels, warm caches
                 call()

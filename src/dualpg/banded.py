@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 PIVOT_FLOOR = 1e-300
-# entries of y per block of `BandedMatrix.matvec`: one block, and the
-# product array that implies, at every n <= 4096; past that, blocks of 4096
-# ran 1.1-1.2x faster at n = 16382 than one fresh array of the whole band
-MATVEC_BLOCK = 4096
 
 
 class SingularMatrixError(ArithmeticError):
@@ -105,38 +101,19 @@ class BandedMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A x, summed from +0.0 over the diagonals in increasing j - i.
 
-        y is built in near-equal blocks of at most MATVEC_BLOCK entries
-        y[i0:i1], with one product array of (p + q + 1) x (block + p + q)
-        reused for each.  The products data[s, j] x[j] of the columns
-        j = i0 - p .. i1 + q - 1 go into band row s, column p + j - i0; zero
-        columns stand in for the j past the matrix edge.  A skewed view then
-        lines up every term of y[i0 + i] in column i, row r holding diagonal
-        d = r - p, and the sum down the view adds them in that diagonal
-        order, as a loop over the diagonals would.  A single block is summed
-        straight into a new y.
+        The products data[q - d, j] x[j] go into band rows reversed and
+        padded by p columns before and q after, so that one skewed view
+        lines up every term of y[i] in column i, the padding standing in
+        for the entries past the matrix edge; the sum over the view adds
+        them in that diagonal order, as a loop over the diagonals would.
         """
         n, p, q = self.n, self.p, self.q
-        # blocks of near-equal size: a last block of one column would be a
-        # 1-d sum down the rows, which numpy adds pairwise past 8 terms
-        blocks = -(-n // MATVEC_BLOCK)
-        rows, block = p + q + 1, -(-n // blocks)
-        width = block + p + q
+        rows, width = p + q + 1, n + p + q
         products = np.zeros((rows, width))
-        step = products.itemsize  # skewed[r, i] = products[p + q - r, r + i]
-        skewed = np.ndarray((rows, block), float, products, (rows - 1) * width * step,
-                            ((1 - width) * step, step))
-        if block == n:
-            np.multiply(self.data, x, out=products[:, p:p + n])
-            return skewed.sum(axis=0, initial=0.0)
-        y = np.empty(n)
-        for i0 in range(0, n, block):
-            i1 = min(n, i0 + block)
-            lo, hi = max(0, i0 - p), min(n, i1 + q)
-            np.multiply(self.data[:, lo:hi], x[lo:hi],
-                        out=products[:, p + lo - i0:p + hi - i0])
-            products[:, p + hi - i0:] = 0.0  # columns past the matrix edge
-            np.add.reduce(skewed[:, :i1 - i0], axis=0, initial=0.0, out=y[i0:i1])
-        return y
+        np.multiply(self.data[::-1], x, out=products[:, p:p + n])
+        step = products.itemsize  # one row down and one column right per diagonal
+        skewed = np.ndarray((rows, n), float, products, 0, ((width + 1) * step, step))
+        return skewed.sum(axis=0, initial=0.0)
 
     def gram(self) -> BandedMatrix:
         """G = A^T A, with both bandwidths p + q (at most n - 1).

@@ -6,10 +6,12 @@ polynomial * {sin, cos} or polynomial * {sinh, cosh} terms (`TrigPolySum`),
 a class closed under d/dx, so right-hand sides are exact and convergence
 tables are never polluted by differentiation error.  The class is closed
 under linear combination too, so a right-hand side L u = sum_q w_q u^(q) is
-one `TrigPolySum` with one polynomial per kernel: sampling it costs one
-Horner pass and one sin/cos or sinh/cosh call per kernel, not one per
-derivative, and terms that cancel exactly (L sinh = 0 for coefficients
-1, 1, 1) leave an exact zero.  A family's boundary data is computed once.
+one `TrigPolySum` with one polynomial per kernel, merged by one product and
+one sum over a table of the family's derivative polynomials built once:
+sampling it costs one Horner pass and one sin/cos or sinh/cosh call per
+kernel, not one per derivative, and terms that cancel exactly (L sinh = 0
+for coefficients 1, 1, 1) leave an exact zero.  A family's boundary data is
+computed once.
 
   family 1 (order 3): u = (1 - x^2) x^j sin(m pi x), integer j, m >= 1;
                       homogeneous data u(+-1) = u'(1) = 0
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
 
 import numpy as np
 
@@ -31,29 +32,13 @@ from .orders import order_spec, pinned
 
 __all__ = ["TrigPolySum", "ExampleFamily", "make_family"]
 
+_P = np.polynomial.polynomial
 _KERNELS = {"sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh}
-# d/dx kernel(omega x) = sign omega partner(omega x)
-_PARTNER = {"sin": ("cos", 1.0), "cos": ("sin", -1.0),
-            "sinh": ("cosh", 1.0), "cosh": ("sinh", 1.0)}
-
-
-def _push(acc: dict[str, list[float]], kernel: str, coeffs: list[float]) -> None:
-    """Add the ascending polynomial `coeffs` to `acc[kernel]`, entry by entry
-    from +0.0, in Python floats: the polynomials have a few terms each."""
-    if kernel in acc:
-        acc[kernel] = [0.0 + a + b for a, b in zip_longest(acc[kernel], coeffs, fillvalue=0.0)]
-    else:
-        acc[kernel] = coeffs
 
 
 @dataclass(frozen=True)
 class TrigPolySum:
-    """sum over kernels of p_kernel(x) * kernel(omega x).
-
-    Closed under d/dx (`derivative`) and under linear combination of sums
-    with one omega (`combination`); both merge the polynomials per kernel,
-    so a sum never holds a kernel twice.
-    """
+    """sum over kernels of p_kernel(x) * kernel(omega x), closed under d/dx."""
 
     omega: float
     terms: tuple[tuple[str, tuple[float, ...]], ...]
@@ -74,37 +59,30 @@ class TrigPolySum:
         return float(total) if arr.ndim == 0 else total
 
     def derivative(self) -> "TrigPolySum":
-        acc: dict[str, list[float]] = {}
-        for kernel, poly in self.terms:
+        partner = {"sin": ("cos", 1.0), "cos": ("sin", -1.0),
+                   "sinh": ("cosh", 1.0), "cosh": ("sinh", 1.0)}
+        acc: dict[str, np.ndarray] = {}
+
+        def push(kernel: str, coeffs: np.ndarray) -> None:
+            if kernel in acc:
+                size = max(len(acc[kernel]), len(coeffs))
+                merged = np.zeros(size)
+                merged[: len(acc[kernel])] += acc[kernel]
+                merged[: len(coeffs)] += coeffs
+                acc[kernel] = merged
+            else:
+                acc[kernel] = np.asarray(coeffs, dtype=float)
+
+        for kernel, coeffs in self.terms:
+            poly = np.asarray(coeffs, dtype=float)
             if len(poly) > 1:
-                _push(acc, kernel, [i * c for i, c in enumerate(poly)][1:])
-            other, sign = _PARTNER[kernel]
-            scale = sign * self.omega
-            _push(acc, other, [scale * c for c in poly])
-        return TrigPolySum._merged(self.omega, acc)
-
-    @staticmethod
-    def combination(weighted) -> "TrigPolySum":
-        """sum w s over the (w, s) pairs, every s of one omega.
-
-        Each kernel's polynomial is the sum of the w-scaled polynomials in
-        pair order, so terms that cancel exactly leave no term at all.
-        """
-        acc: dict[str, list[float]] = {}
-        omegas = set()
-        for w, s in weighted:
-            omegas.add(s.omega)
-            for kernel, poly in s.terms:
-                _push(acc, kernel, [w * c for c in poly])
-        if len(omegas) != 1:
-            raise ValueError(f"a combination needs sums of one omega, got {sorted(omegas)}")
-        return TrigPolySum._merged(omegas.pop(), acc)
-
-    @staticmethod
-    def _merged(omega: float, acc: dict[str, list[float]]) -> "TrigPolySum":
-        """The sum of the kernels' polynomials in `acc`, dropping zero ones."""
-        terms = tuple((kernel, tuple(c)) for kernel, c in sorted(acc.items()) if any(c))
-        return TrigPolySum(omega=omega, terms=terms)
+                push(kernel, _P.polyder(poly))
+            other, sign = partner[kernel]
+            push(other, sign * self.omega * poly)
+        terms = tuple(
+            (kernel, tuple(c)) for kernel, c in sorted(acc.items()) if np.any(c)
+        )
+        return TrigPolySum(omega=self.omega, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -119,15 +97,40 @@ class ExampleFamily:
     def rhs(self, coefficients) -> TrigPolySum:
         """Right-hand side L u = sum_q w_q u^(q) of the family's order, as one sum.
 
-        A non-finite coefficient raises the problem record's ValueError,
-        naming its field, before any arithmetic on it.
+        A wrong number of coefficients, or a non-finite one, raises the
+        ValueError of `OrderSpec.weights` or of the problem record (naming
+        the field) before any arithmetic on them.
         """
         spec = order_spec(self.order)
-        weights = spec.weights(coefficients)
-        if not all(map(math.isfinite, coefficients)):
+        if len(coefficients) != spec.n_coefficients or not all(map(math.isfinite, coefficients)):
+            spec.weights(coefficients)  # raises on a wrong count
             spec.problem(*coefficients, rhs=None, bc=self.bc())  # raises
-        return TrigPolySum.combination(
-            (w, self.derivatives[q]) for q, w in weights.items())
+        kernels, table = self._rhs_table
+        weights = np.array((1.0, *coefficients))
+        weights.shape = (-1, 1, 1)
+        # one product and one sum down the derivative axis, which adds the
+        # rows in order, starting from +0.0
+        merged = np.add.reduce(table * weights, axis=0, initial=0.0).tolist()
+        return TrigPolySum(self.exact.omega,
+                           tuple([(k, tuple(c)) for k, c in zip(kernels, merged) if any(c)]))
+
+    @cached_property
+    def _rhs_table(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The kernels of u, ..., u^(order) and each one's polynomial in
+        sign_q u^(q), one row per q in `OrderSpec.weights` order, zero padded
+        to one width: L u's polynomial of a kernel is the rows weighted by
+        (1, *coefficients) and summed.  The signs are +-1, so folding them in
+        here rounds nothing."""
+        spec = order_spec(self.order)
+        chain = [dict(self.derivatives[q].terms) for q in spec.signs]
+        kernels = tuple(sorted(set().union(*chain)))
+        width = max((len(poly) for terms in chain for poly in terms.values()), default=0)
+        table = np.zeros((len(chain), len(kernels), width))
+        for row, (sign, terms) in enumerate(zip(spec.signs.values(), chain)):
+            for col, kernel in enumerate(kernels):
+                poly = terms.get(kernel, ())
+                table[row, col, :len(poly)] = np.multiply(sign, poly)
+        return kernels, table
 
     @cached_property
     def _boundary_data(self):

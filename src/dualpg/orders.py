@@ -18,7 +18,7 @@ one place that accepts or rejects an order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Real
 from operator import attrgetter
@@ -45,11 +45,11 @@ class _Record:
     """Base of the frozen data records: every real field must be finite."""
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.__match_args__:  # the field names in order
+            value = getattr(self, name)
             if isinstance(value, Real) and not math.isfinite(value):
                 raise ValueError(
-                    f"{type(self).__name__}.{f.name} must be finite, got {value}"
+                    f"{type(self).__name__}.{name} must be finite, got {value}"
                 )
 
 

@@ -76,7 +76,7 @@ class TestTrigPolySum:
         assert d2(0.3) == pytest.approx(fd, rel=1e-4)
 
 
-class TestTrigPolySumMerging:
+class TestTrigPolySumHorner:
     def test_call_is_bitwise_polyval(self):
         # the in-place Horner of __call__ against polyval, over every term
         # of the table families' derivative chains
@@ -85,19 +85,6 @@ class TestTrigPolySumMerging:
             for u in make_family(fid, j=j, m=m).derivatives:
                 assert u(x).tobytes() == polyval_sum(u, x).tobytes()
                 assert u(0.3) == float(polyval_sum(u, 0.3))
-
-    def test_combination_merges_per_kernel(self):
-        u = TrigPolySum(omega=2.0, terms=(("cos", (1.0, 2.0)), ("sin", (0.5,))))
-        v = TrigPolySum(omega=2.0, terms=(("sin", (0.0, 0.0, 3.0)),))
-        w = TrigPolySum.combination([(2.0, u), (-1.0, v), (-1.0, u)])
-        assert w.terms == (("cos", (1.0, 2.0)), ("sin", (0.5, 0.0, -3.0)))
-        assert TrigPolySum.combination([(1.0, u), (-1.0, u)]).terms == ()
-
-    def test_combination_needs_one_omega(self):
-        u = TrigPolySum(omega=2.0, terms=(("cos", (1.0,)),))
-        v = TrigPolySum(omega=3.0, terms=(("cos", (1.0,)),))
-        with pytest.raises(ValueError, match="one omega"):
-            TrigPolySum.combination([(1.0, u), (1.0, v)])
 
 
 class TestMergedRhs:
@@ -114,6 +101,25 @@ class TestMergedRhs:
             assert len({kernel for kernel, _ in rhs.terms}) == len(rhs.terms)
             gap = np.max(np.abs(rhs(x) - per_derivative_rhs(family, coefficients, x)))
             assert gap <= 32 * EPS * term_scale(family, coefficients)
+
+    @pytest.mark.parametrize("fid,j,m", TABLE_FAMILIES, ids=str)
+    def test_merge_adds_weighted_polynomials_in_order(self, fid, j, m):
+        # each kernel's polynomial is 0.0 + w_q c_q summed in weight order,
+        # q = order .. 0, the missing terms counted as zeros
+        family = make_family(fid, j=j, m=m)
+        for coefficients in TABLE_COEFFICIENTS[family.order]:
+            merged = {}
+            for q, w in order_spec(family.order).weights(coefficients).items():
+                for kernel, poly in family.derivatives[q].terms:
+                    acc = merged.setdefault(kernel, [0.0] * len(poly))
+                    acc += [0.0] * (len(poly) - len(acc))
+                    for i, c in enumerate(poly):
+                        acc[i] += w * c
+            rhs = family.rhs(coefficients)
+            assert rhs.omega == family.exact.omega
+            expected = {k: p for k, p in merged.items() if any(p)}
+            assert {k: list(p[:len(expected[k])]) for k, p in rhs.terms} == expected
+            assert all(not any(p[len(expected[k]):]) for k, p in rhs.terms)
 
     def test_cancelling_rhs_is_exactly_zero(self):
         # table 5, m = 1, coefficients 1,1,1: L sinh = 0, and the merge
